@@ -1,4 +1,10 @@
-//! The chain over `(R, C)` states and the log-space forward–backward pass.
+//! The chain over `(R, C)` states and the forward–backward passes over it.
+//!
+//! EM runs [`forward_backward_struct`], a scaled linear-space block kernel
+//! that reads the transitions straight from the parameters. The
+//! materialized [`Chain`] serves the final Viterbi decode and the two
+//! reference passes kept as differential oracles: the per-edge scaled
+//! [`forward_backward_scaled`] and the log-space [`forward_backward`].
 //!
 //! This is the "variant of the forward-backward algorithm that exploits the
 //! hierarchical nature of the record segmentation problem" (Section 5.2.3):
@@ -397,7 +403,7 @@ pub fn forward_backward(chain: &Chain, emits: &[Vec<f64>], evidence: &[Evidence]
 /// Every table is a contiguous row-major `Vec<f64>` with stride
 /// `num_states` (`table[i * ns + s]`), sized once per instance and reused
 /// across EM iterations — after the first iteration no table grows (see
-/// the arena regression test in `tests/fb_props.rs`).
+/// the arena regression test in `tests/scaled_fb_props.rs`).
 #[derive(Debug, Clone, Default)]
 pub struct FbWorkspace {
     /// Linear emissions, each row scaled so its maximum is 1.
@@ -427,20 +433,26 @@ pub struct FbWorkspace {
     /// Memo occupancy: `memo_seen[key]` is `true` once `memo_col`'s row for
     /// `key` holds the current iteration's parameters.
     memo_seen: Vec<bool>,
-    /// CSR row offsets into the flattened edge arrays (`num_states + 1`).
-    edge_start: Vec<u32>,
-    /// CSR: target state per edge.
-    edge_to: Vec<u32>,
-    /// CSR: linear transition probability per edge.
-    edge_p: Vec<f64>,
-    /// CSR: packed [`EdgeKind`] — `from_c · k + to_c` for `Continue`,
-    /// `k² + from_c` for `NewRecord`, `u32::MAX` for `Fallback`.
-    edge_kind: Vec<u32>,
+    /// Scratch: one extract's scaled emission blocks, `k` cells for a
+    /// record in `D_i` followed by `k` for a record outside it.
+    emit_blocks: Vec<f64>,
+    /// Scratch: `rec_on[r]` is `true` when record `r` is in `D_i`.
+    rec_on: Vec<bool>,
     /// Scratch for the structured pass: per-column hazard `hz(c)`.
     hz: Vec<f64>,
     /// Scratch: continue weights `(1 − hz(c)) · trans[c][c']`, row-major
     /// `k × k`.
     cont: Vec<f64>,
+    /// Scratch: `cont` transposed (`cont_t[c' · k + c]`), so the forward
+    /// step reads each target column's weights contiguously.
+    cont_t: Vec<f64>,
+    /// Scratch: expected within-record transitions, row-major `k × k`,
+    /// copied into [`Counts::trans`] once per pass.
+    xi_trans: Vec<f64>,
+    /// Scratch: expected continues out of each column.
+    xi_cont: Vec<f64>,
+    /// Scratch: expected record-boundary ends at each column.
+    xi_end: Vec<f64>,
     /// Scratch: `1 / Σ_{j<nk−r−1} q^j` per source record (0 for the last
     /// record, which has no record-boundary edges).
     skip_inv: Vec<f64>,
@@ -488,30 +500,6 @@ impl FbWorkspace {
         self.memo_seen.clear();
         self.memo_seen.resize(MEMO_KEYS, false);
         self.counts.reset(k);
-    }
-
-    /// Flattens the chain's per-state edge lists into the CSR arrays,
-    /// preserving edge order exactly (the flat pass must accumulate in the
-    /// same order as the nested one to stay bit-identical).
-    fn build_csr(&mut self, chain: &Chain) {
-        let k = chain.dims.num_columns;
-        self.edge_start.clear();
-        self.edge_to.clear();
-        self.edge_p.clear();
-        self.edge_kind.clear();
-        self.edge_start.push(0);
-        for out in &chain.edges {
-            for e in out {
-                self.edge_to.push(e.to as u32);
-                self.edge_p.push(e.p);
-                self.edge_kind.push(match e.kind {
-                    EdgeKind::Continue { from_c, to_c } => (from_c * k + to_c) as u32,
-                    EdgeKind::NewRecord { from_c } => (k * k + from_c) as u32,
-                    EdgeKind::Fallback => u32::MAX,
-                });
-            }
-            self.edge_start.push(self.edge_to.len() as u32);
-        }
     }
 
     /// Total reserved capacity of the per-extract tables, in `f64` cells —
@@ -571,12 +559,15 @@ pub fn emissions_into(
     }
 }
 
-/// [`emissions_into`] with the per-column emission products memoized by
-/// [`TypeSet`](tableseg_html::TypeSet) bit pattern: extracts sharing a type
-/// vector (the common case — sites reuse a handful of token shapes) pay for
-/// `params.emission` once per iteration. Bit-identical to
-/// [`emissions_into`]: the row fill walks states in the same `(r, c)` order
-/// with the same per-cell products and running maximum.
+/// [`emissions_into`] built from two blocks per extract. A row takes only
+/// two distinct `k`-blocks: `P(T_i | c) / |D_i|` for records in `D_i` and
+/// `P(T_i | c) · ε` for the rest. Each block is built and divided by the
+/// row maximum once, then copied per record. The per-column products
+/// are memoized by [`TypeSet`](tableseg_html::TypeSet) bit pattern, so
+/// extracts sharing a type vector (the common case: sites reuse a handful
+/// of token shapes) pay for `params.emission` once per iteration.
+/// Bit-identical to [`emissions_into`]: every cell is the same product
+/// divided by the same maximum.
 pub fn emissions_into_memoized(
     evidence: &[Evidence],
     params: &Params,
@@ -587,40 +578,66 @@ pub fn emissions_into_memoized(
     let ns = dims.num_states();
     let k = dims.num_columns;
     ws.prepare(evidence.len(), ns, k);
-    for (i, ev) in evidence.iter().enumerate() {
+    let FbWorkspace {
+        emits,
+        emit_scale,
+        memo_col,
+        memo_seen,
+        emit_blocks,
+        rec_on,
+        ..
+    } = ws;
+    emit_blocks.clear();
+    emit_blocks.resize(2 * k, 0.0);
+    rec_on.clear();
+    rec_on.resize(dims.num_records, false);
+    for ((ev, row), scale) in evidence
+        .iter()
+        .zip(emits.chunks_exact_mut(ns))
+        .zip(emit_scale.iter_mut())
+    {
         let key = ev.types.bits() as usize;
-        if !ws.memo_seen[key] {
+        let per_col = &mut memo_col[key * k..(key + 1) * k];
+        if !memo_seen[key] {
             let feats = ev.features();
-            for c in 0..k {
-                ws.memo_col[key * k + c] = params.emission(c, &feats);
+            for (c, slot) in per_col.iter_mut().enumerate() {
+                *slot = params.emission(c, &feats);
             }
-            ws.memo_seen[key] = true;
+            memo_seen[key] = true;
         }
-        let per_col = &ws.memo_col[key * k..(key + 1) * k];
+        // `D_i` is sorted: one merge walk marks its records.
+        let mut pages = ev.pages.iter().map(|&p| p as usize).peekable();
+        let (mut any_on, mut any_off) = (false, false);
+        for (r, on) in rec_on.iter_mut().enumerate() {
+            while pages.next_if(|&p| p < r).is_some() {}
+            *on = pages.peek() == Some(&r);
+            any_on |= *on;
+            any_off |= !*on;
+        }
         let inv_pages = 1.0 / ev.pages.len().max(1) as f64;
-        let row = &mut ws.emits[i * ns..(i + 1) * ns];
+        let (on_blk, off_blk) = emit_blocks.split_at_mut(k);
         let mut max = 0.0f64;
-        for r in 0..dims.num_records {
-            let w = if ev.on_page(r) {
-                inv_pages
-            } else {
-                opts.epsilon
-            };
-            for (slot, &pc) in row[r * k..(r + 1) * k].iter_mut().zip(per_col) {
-                let v = pc * w;
-                *slot = v;
-                if v > max {
-                    max = v;
-                }
+        for ((on, off), &pc) in on_blk.iter_mut().zip(off_blk.iter_mut()).zip(&*per_col) {
+            *on = pc * inv_pages;
+            *off = pc * opts.epsilon;
+            if any_on && *on > max {
+                max = *on;
+            }
+            if any_off && *off > max {
+                max = *off;
             }
         }
         if max > 0.0 {
-            for slot in row.iter_mut() {
-                *slot /= max;
+            for v in emit_blocks.iter_mut() {
+                *v /= max;
             }
-            ws.emit_scale[i] = max.ln();
+            *scale = max.ln();
         } else {
-            ws.emit_scale[i] = 0.0;
+            *scale = 0.0;
+        }
+        let (on_blk, off_blk) = emit_blocks.split_at(k);
+        for (blk, &on) in row.chunks_exact_mut(k).zip(rec_on.iter()) {
+            blk.copy_from_slice(if on { on_blk } else { off_blk });
         }
     }
 }
@@ -738,128 +755,9 @@ pub fn forward_backward_scaled(chain: &Chain, ws: &mut FbWorkspace, evidence: &[
     log_likelihood
 }
 
-/// [`forward_backward_scaled`] over a flattened CSR copy of the chain:
-/// the per-state `Vec<Edge>` lists become four contiguous arrays walked by
-/// index, the γ rows are computed as a flat elementwise product, and the
-/// count loops index `(r, c)` blocks directly instead of unpacking each
-/// state. Every accumulation runs in the same order as the nested pass, so
-/// the results are bit-identical — pinned by the differential test below.
-pub fn forward_backward_flat(chain: &Chain, ws: &mut FbWorkspace, evidence: &[Evidence]) -> f64 {
-    let n = evidence.len();
-    let ns = chain.dims.num_states();
-    let k = chain.dims.num_columns;
-    let nr = chain.dims.num_records;
-    debug_assert_eq!(ws.emits.len(), n * ns, "emissions must be filled first");
-    if n == 0 {
-        ws.counts.reset(k);
-        return 0.0;
-    }
-    ws.build_csr(chain);
-
-    // Forward.
-    for s in 0..ns {
-        ws.alpha[s] = chain.init_linear[s] * ws.emits[s];
-    }
-    normalize_step(&mut ws.alpha[..ns], &mut ws.scale[0]);
-    for i in 1..n {
-        let (prev_rows, cur_rows) = ws.alpha.split_at_mut(i * ns);
-        let prev = &prev_rows[(i - 1) * ns..];
-        let cur = &mut cur_rows[..ns];
-        cur.fill(0.0);
-        for (s, &a) in prev.iter().enumerate() {
-            if a == 0.0 {
-                continue;
-            }
-            let (lo, hi) = (ws.edge_start[s] as usize, ws.edge_start[s + 1] as usize);
-            for (&to, &p) in ws.edge_to[lo..hi].iter().zip(&ws.edge_p[lo..hi]) {
-                cur[to as usize] += a * p;
-            }
-        }
-        let emit_row = &ws.emits[i * ns..(i + 1) * ns];
-        for (slot, &em) in cur.iter_mut().zip(emit_row) {
-            *slot *= em;
-        }
-        normalize_step(cur, &mut ws.scale[i]);
-    }
-    let log_likelihood: f64 =
-        ws.scale.iter().map(|c| c.ln()).sum::<f64>() + ws.emit_scale.iter().sum::<f64>();
-
-    // Backward sweep with edge-posterior accumulation (see
-    // [`forward_backward_scaled`] for the recurrences).
-    ws.counts.reset(k);
-    ws.beta[(n - 1) * ns..].fill(1.0);
-    let kk = (k * k) as u32;
-    for i in (0..n - 1).rev() {
-        let inv_c = 1.0 / ws.scale[i + 1];
-        for t in 0..ns {
-            ws.tmp[t] = ws.emits[(i + 1) * ns + t] * ws.beta[(i + 1) * ns + t] * inv_c;
-        }
-        for s in 0..ns {
-            let (lo, hi) = (ws.edge_start[s] as usize, ws.edge_start[s + 1] as usize);
-            let mut b = 0.0;
-            for (&to, &p) in ws.edge_to[lo..hi].iter().zip(&ws.edge_p[lo..hi]) {
-                b += p * ws.tmp[to as usize];
-            }
-            ws.beta[i * ns + s] = b;
-            let a = ws.alpha[i * ns + s];
-            if a == 0.0 {
-                continue;
-            }
-            for j in lo..hi {
-                let xi = a * ws.edge_p[j] * ws.tmp[ws.edge_to[j] as usize];
-                if xi <= 0.0 {
-                    continue;
-                }
-                let code = ws.edge_kind[j];
-                if code < kk {
-                    let (fc, tc) = ((code / k as u32) as usize, (code % k as u32) as usize);
-                    ws.counts.trans[fc][tc] += xi;
-                    ws.counts.cont[fc] += xi;
-                } else if code != u32::MAX {
-                    ws.counts.end[(code - kk) as usize] += xi;
-                }
-            }
-        }
-    }
-
-    // Posteriors as one flat elementwise product per extract, then node
-    // counts walked in `(r, c)` block order (the same state order as the
-    // nested pass).
-    for (i, ev) in evidence.iter().enumerate() {
-        let feats = ev.features();
-        let row = i * ns;
-        for s in 0..ns {
-            ws.gamma[row + s] = ws.alpha[row + s] * ws.beta[row + s];
-        }
-        let mut s = row;
-        for _r in 0..nr {
-            for c in 0..k {
-                let g = ws.gamma[s];
-                s += 1;
-                if g > 0.0 {
-                    ws.counts.col[c] += g;
-                    for (t, &on) in feats.iter().enumerate() {
-                        if on {
-                            ws.counts.types[c][t] += g;
-                        }
-                    }
-                }
-            }
-        }
-    }
-    // The last extract ends its record at its column.
-    let last = (n - 1) * ns;
-    for r in 0..nr {
-        for c in 0..k {
-            ws.counts.end[c] += ws.gamma[last + r * k + c];
-        }
-    }
-
-    log_likelihood
-}
-
 /// The scaled forward–backward pass computed from the transition
-/// *structure* instead of materialized edges.
+/// *structure* instead of materialized edges, as a per-record block
+/// kernel.
 ///
 /// The chain's record-boundary edges are a geometric fan-out: state
 /// `(r, c)` reaches every `(r', 0)` with `r' > r` at probability
@@ -881,10 +779,27 @@ pub fn forward_backward_flat(chain: &Chain, ws: &mut FbWorkspace, evidence: &[Ev
 /// accumulate per-extract column sums first and fan out to the type
 /// counts once per column.
 ///
-/// Algebraically identical to [`forward_backward_scaled`] on the chain
-/// built from the same `(dims, params, opts)`; floating-point results
-/// differ only by summation order (the differential tests below pin the
-/// agreement). Expects the emission arena to be filled first.
+/// Every row is walked as `nk` contiguous `k`-blocks, one per record:
+///
+/// * forward: cell `(r, c')` starts at `α̂(r, c') · fb` and adds
+///   `α̂(r, c) · cont[c][c']` for `c` ascending, read from a transposed
+///   copy of `cont`; a record block of α̂ that is exactly zero (common
+///   once the detail-page evidence rules a record out) yields a zero
+///   block and no boundary mass without being walked;
+/// * backward: β̂ stays dense; ξ accumulates into flat `k × k` / `k`
+///   scratch with the per-cell products `(α̂ · cont) · tmp` and
+///   `(α̂ · hz) · boundary`, fused with the β̂ dot product, and lands in
+///   [`Counts`] once per pass.
+///
+/// Skipped terms are exact zeros added to non-negative sums, and every
+/// kept sum adds the same products in the same order as a per-state walk
+/// of the chain would, so the bits of every result are fixed by that
+/// order; `tests/golden/em_bits.txt` pins them. Against
+/// [`forward_backward_scaled`] on the chain built from the same
+/// `(dims, params, opts)` it is algebraically identical and agrees to
+/// rounding (the geometric boundary sums reassociate); the differential
+/// tests pin that agreement. Expects the emission arena to be filled
+/// first.
 pub fn forward_backward_struct(
     dims: Dims,
     params: &Params,
@@ -899,37 +814,67 @@ pub fn forward_backward_struct(
     let q = opts.skip_penalty;
     let fb = LOG_FALLBACK.exp();
     debug_assert_eq!(ws.emits.len(), n * ns, "emissions must be filled first");
+    ws.counts.reset(k);
     if n == 0 {
-        ws.counts.reset(k);
         return 0.0;
     }
+    let FbWorkspace {
+        emits,
+        emit_scale,
+        alpha,
+        beta,
+        gamma,
+        scale,
+        counts,
+        tmp,
+        hz,
+        cont,
+        cont_t,
+        xi_trans,
+        xi_cont,
+        xi_end,
+        skip_inv,
+        rec_flow,
+        rec_mass,
+        col_gamma,
+        ..
+    } = ws;
 
-    // Per-iteration structure tables: hazards, continue weights, inverse
-    // skip normalizers.
-    ws.hz.clear();
-    ws.hz
-        .extend((0..k).map(|c| params.hazard_for(c, opts.period_model)));
-    ws.cont.clear();
-    ws.cont.resize(k * k, 0.0);
+    // Per-iteration structure tables: hazards, continue weights (and
+    // their transpose), inverse skip normalizers.
+    hz.clear();
+    hz.extend((0..k).map(|c| params.hazard_for(c, opts.period_model)));
+    cont.clear();
+    cont.resize(k * k, 0.0);
+    cont_t.clear();
+    cont_t.resize(k * k, 0.0);
     for c in 0..k {
         for cp in c + 1..k {
-            ws.cont[c * k + cp] = (1.0 - ws.hz[c]) * params.trans[c][cp];
+            let w = (1.0 - hz[c]) * params.trans[c][cp];
+            cont[c * k + cp] = w;
+            cont_t[cp * k + c] = w;
         }
     }
-    ws.skip_inv.clear();
-    ws.skip_inv.resize(nk, 0.0);
+    skip_inv.clear();
+    skip_inv.resize(nk, 0.0);
     // skip_total(r) = Σ_{j=0}^{nk−r−2} q^j by suffix recurrence.
     let mut total = 0.0f64;
     for r in (0..nk.saturating_sub(1)).rev() {
         total = 1.0 + q * total;
-        ws.skip_inv[r] = 1.0 / total;
+        skip_inv[r] = 1.0 / total;
     }
-    ws.rec_flow.clear();
-    ws.rec_flow.resize(nk, 0.0);
-    ws.rec_mass.clear();
-    ws.rec_mass.resize(nk, 0.0);
-    ws.col_gamma.clear();
-    ws.col_gamma.resize(k, 0.0);
+    rec_flow.clear();
+    rec_flow.resize(nk, 0.0);
+    rec_mass.clear();
+    rec_mass.resize(nk, 0.0);
+    col_gamma.clear();
+    col_gamma.resize(k, 0.0);
+    xi_trans.clear();
+    xi_trans.resize(k * k, 0.0);
+    xi_cont.clear();
+    xi_cont.resize(k, 0.0);
+    xi_end.clear();
+    xi_end.resize(k, 0.0);
 
     // Forward. The initial distribution is the geometric over skipped
     // leading records, mass only at the `(r, 0)` states.
@@ -939,127 +884,154 @@ pub fn forward_backward_struct(
         init_total += w;
         w *= q;
     }
-    ws.alpha[..ns].fill(0.0);
+    alpha[..ns].fill(0.0);
     let mut w = 1.0;
     for r in 0..nk {
-        ws.alpha[r * k] = w / init_total * ws.emits[r * k];
+        alpha[r * k] = w / init_total * emits[r * k];
         w *= q;
     }
-    normalize_step(&mut ws.alpha[..ns], &mut ws.scale[0]);
+    normalize_step(&mut alpha[..ns], &mut scale[0]);
     for i in 1..n {
-        let (prev_rows, cur_rows) = ws.alpha.split_at_mut(i * ns);
+        let (prev_rows, cur_rows) = alpha.split_at_mut(i * ns);
         let prev = &prev_rows[(i - 1) * ns..];
         let cur = &mut cur_rows[..ns];
-        // Fallback self-loops seed the row; everything else accumulates.
-        for (slot, &a) in cur.iter_mut().zip(prev.iter()) {
-            *slot = a * fb;
-        }
-        for r in 0..nk {
-            let row = &prev[r * k..(r + 1) * k];
-            let mut boundary = 0.0;
-            for (c, &a) in row.iter().enumerate() {
-                if a == 0.0 {
-                    continue;
-                }
-                boundary += a * ws.hz[c];
-                let cont = &ws.cont[c * k..(c + 1) * k];
-                for cp in c + 1..k {
-                    cur[r * k + cp] += a * cont[cp];
-                }
+        for (((a_blk, cur_blk), mass), &inv) in prev
+            .chunks_exact(k)
+            .zip(cur.chunks_exact_mut(k))
+            .zip(rec_mass.iter_mut())
+            .zip(skip_inv.iter())
+        {
+            if a_blk.iter().all(|&a| a == 0.0) {
+                cur_blk.fill(0.0);
+                *mass = 0.0;
+                continue;
             }
-            ws.rec_mass[r] = boundary * ws.skip_inv[r];
+            let mut boundary = 0.0;
+            for (&a, &h) in a_blk.iter().zip(hz.iter()) {
+                boundary += a * h;
+            }
+            *mass = boundary * inv;
+            // Fallback self-loop first, then continues from c < c'.
+            let cols = cur_blk.iter_mut().zip(cont_t.chunks_exact(k));
+            for (cp, (slot, w_col)) in cols.enumerate() {
+                let mut v = a_blk[cp] * fb;
+                for (&a, &w) in a_blk[..cp].iter().zip(w_col) {
+                    v += a * w;
+                }
+                *slot = v;
+            }
         }
         let mut s = 0.0;
-        for rp in 1..nk {
-            s = q * s + ws.rec_mass[rp - 1];
-            cur[rp * k] += s;
+        for (cur_blk, &m) in cur.chunks_exact_mut(k).skip(1).zip(rec_mass.iter()) {
+            s = q * s + m;
+            cur_blk[0] += s;
         }
-        let emit_row = &ws.emits[i * ns..(i + 1) * ns];
-        for (slot, &em) in cur.iter_mut().zip(emit_row) {
+        for (slot, &em) in cur.iter_mut().zip(&emits[i * ns..(i + 1) * ns]) {
             *slot *= em;
         }
-        normalize_step(cur, &mut ws.scale[i]);
+        normalize_step(cur, &mut scale[i]);
     }
     let log_likelihood: f64 =
-        ws.scale.iter().map(|c| c.ln()).sum::<f64>() + ws.emit_scale.iter().sum::<f64>();
+        scale.iter().map(|c| c.ln()).sum::<f64>() + emit_scale.iter().sum::<f64>();
 
-    // Backward sweep with edge-posterior accumulation (recurrences as in
-    // [`forward_backward_scaled`]; boundary edges via the suffix flow).
-    ws.counts.reset(k);
-    ws.beta[(n - 1) * ns..].fill(1.0);
+    // Backward sweep with edge-posterior accumulation: at step i,
+    // tmp[t] = b_{i+1}(t) · β̂_{i+1}(t) / c_{i+1}, giving both
+    // β̂_i(s) = Σ_e p_e · tmp[e.to] and ξ_i(s, e.to) = α̂_i(s) · p_e · tmp[e.to];
+    // boundary edges go through the suffix flow.
+    beta[(n - 1) * ns..].fill(1.0);
     for i in (0..n - 1).rev() {
-        let inv_c = 1.0 / ws.scale[i + 1];
-        for t in 0..ns {
-            ws.tmp[t] = ws.emits[(i + 1) * ns + t] * ws.beta[(i + 1) * ns + t] * inv_c;
+        let inv_c = 1.0 / scale[i + 1];
+        let (beta_rows, next_rows) = beta.split_at_mut((i + 1) * ns);
+        let next = &next_rows[..ns];
+        for ((t, &em), &b) in tmp.iter_mut().zip(&emits[(i + 1) * ns..]).zip(next) {
+            *t = em * b * inv_c;
         }
         // T(r) = Σ_{r' > r} q^{r'−r−1} · tmp(r', 0).
         let mut t_flow = 0.0;
-        for r in (0..nk).rev() {
-            ws.rec_flow[r] = t_flow;
-            t_flow = ws.tmp[r * k] + q * t_flow;
+        for (flow, t_blk) in rec_flow.iter_mut().zip(tmp.chunks_exact(k)).rev() {
+            *flow = t_flow;
+            t_flow = t_blk[0] + q * t_flow;
         }
-        for r in 0..nk {
-            let boundary = ws.skip_inv[r] * ws.rec_flow[r];
+        let blocks = tmp
+            .chunks_exact(k)
+            .zip(beta_rows[i * ns..].chunks_exact_mut(k))
+            .zip(alpha[i * ns..(i + 1) * ns].chunks_exact(k))
+            .zip(rec_flow.iter().zip(skip_inv.iter()));
+        for (((t_blk, b_blk), a_blk), (&flow, &inv)) in blocks {
+            let boundary = inv * flow;
             for c in 0..k {
-                let s = r * k + c;
-                let cont = &ws.cont[c * k..(c + 1) * k];
-                let tmp_row = &ws.tmp[r * k..(r + 1) * k];
+                let w_row = &cont[c * k + c + 1..(c + 1) * k];
+                let t_row = &t_blk[c + 1..];
+                let a = a_blk[c];
                 let mut b = 0.0;
-                for cp in c + 1..k {
-                    b += cont[cp] * tmp_row[cp];
-                }
-                b += ws.hz[c] * boundary;
-                b += fb * tmp_row[c];
-                ws.beta[i * ns + s] = b;
-                let a = ws.alpha[i * ns + s];
                 if a == 0.0 {
-                    continue;
-                }
-                for cp in c + 1..k {
-                    let xi = a * cont[cp] * tmp_row[cp];
-                    if xi > 0.0 {
-                        ws.counts.trans[c][cp] += xi;
-                        ws.counts.cont[c] += xi;
+                    for (&w, &t) in w_row.iter().zip(t_row) {
+                        b += w * t;
                     }
+                } else {
+                    let mut cont_sum = xi_cont[c];
+                    for ((x, &w), &t) in xi_trans[c * k + c + 1..(c + 1) * k]
+                        .iter_mut()
+                        .zip(w_row)
+                        .zip(t_row)
+                    {
+                        b += w * t;
+                        let xi = a * w * t;
+                        *x += xi;
+                        cont_sum += xi;
+                    }
+                    xi_cont[c] = cont_sum;
+                    xi_end[c] += a * hz[c] * boundary;
                 }
-                let xi_boundary = a * ws.hz[c] * boundary;
-                if xi_boundary > 0.0 {
-                    ws.counts.end[c] += xi_boundary;
-                }
+                b += hz[c] * boundary;
+                b += fb * t_blk[c];
+                b_blk[c] = b;
             }
         }
     }
+    for (row, xi_row) in counts.trans.iter_mut().zip(xi_trans.chunks_exact(k)) {
+        row.copy_from_slice(xi_row);
+    }
+    counts.cont.copy_from_slice(xi_cont);
+    counts.end.copy_from_slice(xi_end);
 
-    // Posteriors, then node counts via per-extract column sums: the type
+    // Posteriors γ = α̂ · β̂ (each row already sums to 1 under this
+    // scaling), then node counts via per-extract column sums: the type
     // fan-out runs once per column instead of once per state.
-    for (i, ev) in evidence.iter().enumerate() {
-        let feats = ev.features();
-        let row = i * ns;
-        for s in 0..ns {
-            ws.gamma[row + s] = ws.alpha[row + s] * ws.beta[row + s];
+    let rows = gamma
+        .chunks_exact_mut(ns)
+        .zip(alpha.chunks_exact(ns))
+        .zip(beta.chunks_exact(ns));
+    for (((g_row, a_row), b_row), ev) in rows.zip(evidence) {
+        for ((g, &a), &b) in g_row.iter_mut().zip(a_row).zip(b_row) {
+            *g = a * b;
         }
-        ws.col_gamma.fill(0.0);
-        for r in 0..nk {
-            for c in 0..k {
-                ws.col_gamma[c] += ws.gamma[row + r * k + c];
+        col_gamma.fill(0.0);
+        for g_blk in g_row.chunks_exact(k) {
+            for (sum, &g) in col_gamma.iter_mut().zip(g_blk) {
+                *sum += g;
             }
         }
-        for (c, &g) in ws.col_gamma.iter().enumerate() {
+        let feats = ev.features();
+        for ((&g, col), types) in col_gamma
+            .iter()
+            .zip(counts.col.iter_mut())
+            .zip(counts.types.iter_mut())
+        {
             if g > 0.0 {
-                ws.counts.col[c] += g;
-                for (t, &on) in feats.iter().enumerate() {
+                *col += g;
+                for (slot, &on) in types.iter_mut().zip(&feats) {
                     if on {
-                        ws.counts.types[c][t] += g;
+                        *slot += g;
                     }
                 }
             }
         }
     }
     // The last extract ends its record at its column.
-    let last = (n - 1) * ns;
-    for r in 0..nk {
-        for c in 0..k {
-            ws.counts.end[c] += ws.gamma[last + r * k + c];
+    for g_blk in gamma[(n - 1) * ns..].chunks_exact(k) {
+        for (end, &g) in counts.end.iter_mut().zip(g_blk) {
+            *end += g;
         }
     }
 
@@ -1231,45 +1203,6 @@ mod tests {
     }
 
     #[test]
-    fn flat_pass_is_bit_identical_to_scaled() {
-        let (ev, dims, params, opts) = small_setup();
-        let chain = build_chain(dims, &params, &opts);
-
-        let mut scaled = FbWorkspace::new();
-        emissions_into(&ev, &params, dims, &opts, &mut scaled);
-        let ll_scaled = forward_backward_scaled(&chain, &mut scaled, &ev);
-
-        let mut flat = FbWorkspace::new();
-        emissions_into_memoized(&ev, &params, dims, &opts, &mut flat);
-        let ll_flat = forward_backward_flat(&chain, &mut flat, &ev);
-
-        assert_eq!(ll_scaled.to_bits(), ll_flat.to_bits());
-        for (a, b) in scaled.gamma.iter().zip(&flat.gamma) {
-            assert_eq!(a.to_bits(), b.to_bits());
-        }
-        let pairs = [
-            (&scaled.counts.col, &flat.counts.col),
-            (&scaled.counts.end, &flat.counts.end),
-            (&scaled.counts.cont, &flat.counts.cont),
-        ];
-        for (a, b) in pairs {
-            for (x, y) in a.iter().zip(b.iter()) {
-                assert_eq!(x.to_bits(), y.to_bits());
-            }
-        }
-        for (ra, rb) in scaled.counts.trans.iter().zip(&flat.counts.trans) {
-            for (x, y) in ra.iter().zip(rb) {
-                assert_eq!(x.to_bits(), y.to_bits());
-            }
-        }
-        for (ra, rb) in scaled.counts.types.iter().zip(&flat.counts.types) {
-            for (x, y) in ra.iter().zip(rb) {
-                assert_eq!(x.to_bits(), y.to_bits());
-            }
-        }
-    }
-
-    #[test]
     fn struct_pass_matches_scaled_within_rounding() {
         let (ev, dims, params, opts) = small_setup();
         let chain = build_chain(dims, &params, &opts);
@@ -1309,37 +1242,6 @@ mod tests {
                 assert!(close(*x, *y), "{x} vs {y}");
             }
         }
-    }
-
-    #[test]
-    fn csr_packing_round_trips_edge_kinds() {
-        let (_, dims, params, opts) = small_setup();
-        let chain = build_chain(dims, &params, &opts);
-        let mut ws = FbWorkspace::new();
-        ws.prepare(1, dims.num_states(), dims.num_columns);
-        ws.build_csr(&chain);
-        let k = dims.num_columns as u32;
-        let mut j = 0;
-        for out in &chain.edges {
-            for e in out {
-                assert_eq!(ws.edge_to[j] as usize, e.to);
-                assert_eq!(ws.edge_p[j].to_bits(), e.p.to_bits());
-                let code = ws.edge_kind[j];
-                match e.kind {
-                    EdgeKind::Continue { from_c, to_c } => {
-                        assert_eq!(code, from_c as u32 * k + to_c as u32);
-                        assert!(code < k * k);
-                    }
-                    EdgeKind::NewRecord { from_c } => {
-                        assert_eq!(code, k * k + from_c as u32);
-                    }
-                    EdgeKind::Fallback => assert_eq!(code, u32::MAX),
-                }
-                j += 1;
-            }
-        }
-        assert_eq!(j, ws.edge_to.len());
-        assert_eq!(*ws.edge_start.last().unwrap() as usize, j);
     }
 
     #[test]

@@ -21,8 +21,9 @@
 //!   length into a duration distribution whose hazard drives the
 //!   start-of-record transitions ([`params::Params::hazard`]).
 //!
-//! Learning is EM with a log-space forward–backward pass
-//! ([`forward_backward`], [`em`]); the final segmentation is the Viterbi
+//! Learning is EM with a scaled linear-space forward–backward pass that
+//! walks the chain as per-record blocks ([`forward_backward`], [`em`]);
+//! the final segmentation is the Viterbi
 //! MAP assignment of `(R, C)` ([`viterbi`]), which also yields the *column
 //! extraction* of Section 3.4.
 //!
@@ -63,10 +64,14 @@ pub struct ProbOptions {
     /// differential oracle for the scaled implementation and as the
     /// `solvebench` baseline.
     pub log_space: bool,
-    /// Memoize per-type-vector emission rows and run the forward–backward
-    /// inner loops over the flattened CSR chain. Bit-identical to the
-    /// unmemoized scaled pass; `false` restores it (the `solvebench`
-    /// prev leg). Ignored when `log_space` is set.
+    /// Run the E-step as memoized emission blocks plus the structured
+    /// block kernel (`forward_backward_struct`), which reads transitions
+    /// straight from the parameters. `false` runs the unmemoized per-edge
+    /// scaled pass over a materialized chain instead (the `solvebench`
+    /// prev leg). The two agree to rounding, not to the bit, once a page
+    /// has more than two records: the kernel sums the geometric
+    /// record-boundary fan-out by recurrence. Ignored when `log_space` is
+    /// set.
     #[serde(default = "default_memo_e_step")]
     pub memo_e_step: bool,
 }
