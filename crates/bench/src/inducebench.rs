@@ -19,8 +19,9 @@ use std::time::Instant;
 use tableseg::html::lexer::tokenize;
 use tableseg::html::Token;
 use tableseg::template::{
-    assess, candidate_streams, induce_with, lcs_indices_histogram, InduceOptions, Interner, Symbol,
+    assess, candidate_streams, induce_with, lcs_indices_histogram, Interner, Symbol,
 };
+use tableseg_oracle::induce::induce_interned;
 
 use crate::corpus::{paper_generated_scaled, BenchJson};
 
@@ -185,18 +186,8 @@ pub fn run_induce_bench(iters: usize, page_counts: &[usize]) -> InduceBench {
     // (multi-sequence LCS is not canonical), so deeper merges are gated
     // by the permutation-invariance tests and the quality curve instead.
     for f in &fixtures {
-        let (hist, hist_stats) = induce_with(
-            &f.pages,
-            &f.streams,
-            f.num_symbols,
-            &InduceOptions { histogram: true },
-        );
-        let (oracle, oracle_stats) = induce_with(
-            &f.pages,
-            &f.streams,
-            f.num_symbols,
-            &InduceOptions { histogram: false },
-        );
+        let (hist, hist_stats) = induce_with(&f.pages, &f.streams, f.num_symbols);
+        let (oracle, oracle_stats) = induce_interned(&f.pages, &f.streams, f.num_symbols);
         assert_eq!(
             hist.template.len() + hist_stats.unstable_dropped,
             oracle.template.len() + oracle_stats.unstable_dropped,
@@ -245,12 +236,7 @@ pub fn run_induce_bench(iters: usize, page_counts: &[usize]) -> InduceBench {
         for _ in 0..iters {
             let t = Instant::now();
             for f in &fixtures {
-                std::hint::black_box(induce_with(
-                    &f.pages,
-                    &f.streams,
-                    f.num_symbols,
-                    &InduceOptions { histogram: true },
-                ));
+                std::hint::black_box(induce_with(&f.pages, &f.streams, f.num_symbols));
             }
             induce_ns = induce_ns.min(t.elapsed().as_nanos());
         }
@@ -258,12 +244,7 @@ pub fn run_induce_bench(iters: usize, page_counts: &[usize]) -> InduceBench {
         let mut len_sum = 0usize;
         let mut usable = 0usize;
         for f in &fixtures {
-            let (ind, _) = induce_with(
-                &f.pages,
-                &f.streams,
-                f.num_symbols,
-                &InduceOptions { histogram: true },
-            );
+            let (ind, _) = induce_with(&f.pages, &f.streams, f.num_symbols);
             let q = assess(&ind, &f.pages);
             fraction_sum += q.largest_slot_fraction;
             len_sum += q.template_len;

@@ -191,6 +191,10 @@ pub struct BatchOutcome {
     /// The `run > site > page > stage > substage` span tree, assembled
     /// in corpus order from the same [`StageTimes`] the registry holds.
     pub spans: SpanNode,
+    /// Template inductions the run performed
+    /// ([`SiteTemplate::inductions`] summed over sites), counted whether
+    /// or not metrics are enabled.
+    pub inductions: u64,
 }
 
 impl BatchOutcome {
@@ -268,11 +272,13 @@ pub fn run_sites_with(
     // in job order, is what keeps every output thread-count-invariant.
     let registry = timing::Registry::new();
     let mut metrics = Recorder::new();
+    let mut inductions = 0;
     let mut root = SpanNode::new(SpanKind::Run, "run", 0);
     let mut runs = Vec::with_capacity(page_jobs.len());
     for (si, ps) in sites.iter().enumerate() {
         let mut site_times = ps.template.timings;
         metrics.merge(&ps.template.metrics);
+        inductions += ps.template.inductions;
         let mut site_span = SpanNode::new(
             SpanKind::Site,
             ps.spec.name.clone(),
@@ -322,6 +328,7 @@ pub fn run_sites_with(
         timing: registry,
         metrics,
         spans: root,
+        inductions,
     }
 }
 
@@ -435,11 +442,13 @@ pub fn run_sites_detect(
     // the detection stage plus every region's preparation.
     let registry = timing::Registry::new();
     let mut metrics = Recorder::new();
+    let mut inductions = 0;
     let mut root = SpanNode::new(SpanKind::Run, "run", 0);
     let mut runs = Vec::with_capacity(page_jobs.len());
     for (si, ps) in sites.iter().enumerate() {
         let mut site_times = ps.template.timings;
         metrics.merge(&ps.template.metrics);
+        inductions += ps.template.inductions;
         let mut site_span = SpanNode::new(
             SpanKind::Site,
             ps.spec.name.clone(),
@@ -494,6 +503,7 @@ pub fn run_sites_detect(
         timing: registry,
         metrics,
         spans: root,
+        inductions,
     }
 }
 

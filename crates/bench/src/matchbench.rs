@@ -11,11 +11,10 @@ use std::time::Instant;
 
 use crate::corpus::{paper_prepared, site_count, BenchJson};
 use tableseg::SiteTemplate;
-use tableseg_extract::{
-    derive_extracts, match_extracts_indexed, match_extracts_naive, Extract, Observations, PageIndex,
-};
+use tableseg_extract::{derive_extracts, match_extracts_indexed, Extract, Observations, PageIndex};
 use tableseg_html::lexer::tokenize;
 use tableseg_html::{Symbol, Token};
+use tableseg_oracle::observations::match_extracts_naive;
 
 /// One page of the benchmark corpus, prepared for both matcher paths.
 ///
@@ -37,7 +36,8 @@ pub struct MatchFixture {
 }
 
 impl MatchFixture {
-    /// Runs the naive oracle path: build [`tableseg_extract::MatchStream`]s
+    /// Runs the naive oracle path: build
+    /// [`MatchStream`](tableseg_oracle::matcher::MatchStream)s
     /// for every page, scan each extract over each stream.
     pub fn run_naive(&self) -> Observations {
         self.run_naive_with(self.extracts.clone())

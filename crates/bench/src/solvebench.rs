@@ -1,13 +1,14 @@
 //! The solver microbenchmark behind `BENCH_solver.json`: three solver
 //! generations over the twelve simulated paper sites.
 //!
-//! * **baseline** — the pre-overhaul algorithms, kept in-tree verbatim:
-//!   [`CspOptions::reference_solver`] selects the sequential uncached WSAT
-//!   and [`ProbOptions::log_space`] the per-cell log-space EM loop;
-//! * **prev** — the previously optimized solvers (cached-delta parallel
-//!   WSAT on the whole instance, arena-based scaled EM), selected with
-//!   [`CspOptions::reduce`]` = false` and [`ProbOptions::memo_e_step`]
-//!   ` = false`;
+//! * **baseline** — the pre-overhaul algorithms, kept verbatim in the
+//!   oracle crate: the whole-instance ladder ([`segment_whole`]) searching
+//!   with the sequential uncached WSAT ([`solve_reference`]), and the
+//!   per-cell log-space EM loop ([`segment_prob_log_space`]);
+//! * **prev** — the previously optimized solvers: the cached-delta
+//!   parallel WSAT on the whole instance ([`segment_whole`] with
+//!   [`solve`]) and the arena-based unmemoized scaled EM
+//!   ([`segment_prob_unmemoized`]);
 //! * **optimized** — the production path: instance reduction with
 //!   component decomposition and warm-started WSAT, plus the memoized
 //!   CSR E-step.
@@ -20,8 +21,12 @@
 
 use std::time::Instant;
 
+use tableseg_csp::wsat::solve;
 use tableseg_csp::{encode, reduce_model, segment_csp, CspOptions, CspStatus, EncodeOptions};
 use tableseg_extract::Observations;
+use tableseg_oracle::em::{segment_prob_log_space, segment_prob_unmemoized};
+use tableseg_oracle::relax::segment_whole;
+use tableseg_oracle::wsat::solve_reference;
 use tableseg_prob::{segment_prob, ProbOptions};
 
 use crate::corpus::{paper_prepared, site_count, BenchJson};
@@ -150,31 +155,15 @@ pub fn run_solve_bench(iters: usize) -> SolveBench {
     let sites = site_count(fixtures.iter().map(|f| f.site.as_str()));
     let extracts = fixtures.iter().map(|f| f.observations.len()).sum();
 
-    let csp_base = CspOptions {
-        reference_solver: true,
-        ..CspOptions::default()
-    };
-    let csp_prev = CspOptions {
-        reduce: false,
-        ..CspOptions::default()
-    };
-    let csp_opt = CspOptions::default();
-    let prob_base = ProbOptions {
-        log_space: true,
-        ..ProbOptions::default()
-    };
-    let prob_prev = ProbOptions {
-        memo_e_step: false,
-        ..ProbOptions::default()
-    };
-    let prob_opt = ProbOptions::default();
+    let csp_opts = CspOptions::default();
+    let prob_opts = ProbOptions::default();
 
     // Verification pass (also collects the reduction stats).
     let mut reduction = ReductionStats::default();
     for f in &fixtures {
-        let slow = segment_prob(&f.observations, &prob_base);
-        let prev = segment_prob(&f.observations, &prob_prev);
-        let fast = segment_prob(&f.observations, &prob_opt);
+        let slow = segment_prob_log_space(&f.observations, &prob_opts);
+        let prev = segment_prob_unmemoized(&f.observations, &prob_opts);
+        let fast = segment_prob(&f.observations, &prob_opts);
         assert_eq!(
             slow.segmentation.assignments, prev.segmentation.assignments,
             "{} page {}: scaled EM diverged from log-space oracle",
@@ -185,9 +174,9 @@ pub fn run_solve_bench(iters: usize) -> SolveBench {
             "{} page {}: memoized E-step diverged from the unmemoized pass",
             f.site, f.page
         );
-        let slow = segment_csp(&f.observations, &csp_base);
-        let whole = segment_csp(&f.observations, &csp_prev);
-        let reduced = segment_csp(&f.observations, &csp_opt);
+        let slow = segment_whole(&f.observations, &csp_opts, solve_reference);
+        let whole = segment_whole(&f.observations, &csp_opts, solve);
+        let reduced = segment_csp(&f.observations, &csp_opts);
         assert!(
             !(slow.status == CspStatus::Solved && whole.status != CspStatus::Solved),
             "{} page {}: cached-delta WSAT lost a solution the reference found",
@@ -223,33 +212,33 @@ pub fn run_solve_bench(iters: usize) -> SolveBench {
     for _ in 0..iters {
         let t = Instant::now();
         for f in &fixtures {
-            std::hint::black_box(segment_csp(&f.observations, &csp_base));
+            std::hint::black_box(segment_whole(&f.observations, &csp_opts, solve_reference));
         }
         csp.baseline_ns = csp.baseline_ns.min(t.elapsed().as_nanos());
 
         let t = Instant::now();
         for f in &fixtures {
-            std::hint::black_box(segment_csp(&f.observations, &csp_prev));
+            std::hint::black_box(segment_whole(&f.observations, &csp_opts, solve));
         }
         csp.prev_ns = csp.prev_ns.min(t.elapsed().as_nanos());
 
         let t = Instant::now();
         let mut flips = 0u64;
         for f in &fixtures {
-            flips += std::hint::black_box(segment_csp(&f.observations, &csp_opt)).flips;
+            flips += std::hint::black_box(segment_csp(&f.observations, &csp_opts)).flips;
         }
         csp.optimized_ns = csp.optimized_ns.min(t.elapsed().as_nanos());
         csp.work_units = flips;
 
         let t = Instant::now();
         for f in &fixtures {
-            std::hint::black_box(segment_prob(&f.observations, &prob_base));
+            std::hint::black_box(segment_prob_log_space(&f.observations, &prob_opts));
         }
         prob.baseline_ns = prob.baseline_ns.min(t.elapsed().as_nanos());
 
         let t = Instant::now();
         for f in &fixtures {
-            std::hint::black_box(segment_prob(&f.observations, &prob_prev));
+            std::hint::black_box(segment_prob_unmemoized(&f.observations, &prob_opts));
         }
         prob.prev_ns = prob.prev_ns.min(t.elapsed().as_nanos());
 
@@ -257,7 +246,7 @@ pub fn run_solve_bench(iters: usize) -> SolveBench {
         let mut em_iters = 0u64;
         for f in &fixtures {
             em_iters +=
-                std::hint::black_box(segment_prob(&f.observations, &prob_opt)).iterations as u64;
+                std::hint::black_box(segment_prob(&f.observations, &prob_opts)).iterations as u64;
         }
         prob.optimized_ns = prob.optimized_ns.min(t.elapsed().as_nanos());
         prob.work_units = em_iters;

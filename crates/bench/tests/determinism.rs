@@ -10,7 +10,6 @@ use tableseg_bench::{run_sites, run_sites_robust, table4_report, tables123_repor
 use tableseg_sitegen::chaos::{apply_chaos, ChaosConfig};
 use tableseg_sitegen::paper_sites;
 use tableseg_sitegen::site::generate;
-use tableseg_template::induction_count;
 
 fn golden_path(name: &str) -> PathBuf {
     PathBuf::from(env!("CARGO_MANIFEST_DIR"))
@@ -24,8 +23,6 @@ fn read_golden(name: &str) -> String {
         .unwrap_or_else(|e| panic!("missing golden {}: {e}", path.display()))
 }
 
-/// One test (not several) so the process-global induction counter deltas
-/// are not interleaved by the parallel test harness within this binary.
 #[test]
 fn reports_are_deterministic_across_threads_and_match_goldens() {
     let specs = paper_sites::all();
@@ -35,12 +32,10 @@ fn reports_are_deterministic_across_threads_and_match_goldens() {
     // identical. Each run must induce exactly one template per site.
     let mut reports = Vec::new();
     for threads in [1usize, 1, 2, n] {
-        let before = induction_count();
         let outcome = run_sites(&specs, threads);
-        let after = induction_count();
         assert_eq!(
-            after - before,
-            specs.len(),
+            outcome.inductions,
+            specs.len() as u64,
             "template induction must run exactly once per site ({threads} threads)"
         );
         reports.push((threads, table4_report(&outcome.runs, false)));

@@ -1,35 +1,17 @@
-//! Multi-page induction invariants and the chaos fuzz gate.
+//! Multi-page induction invariants.
 //!
 //! The histogram rolling merge folds pages in a canonical order, so the
 //! induced template must be invariant under permutations of the sample
-//! pages; adding pages must not degrade template quality (the candidate
-//! filter only tightens); and both LCS cores must survive arbitrary
-//! chaos-mutated byte soup without panicking, agreeing on LCS length with
-//! valid traces throughout. Seeds mix in `PROPTEST_SEED` when set, so the
-//! CI seed matrix drives distinct corpora through the same invariants.
+//! pages; and adding pages must not degrade template quality (the
+//! candidate filter only tightens). The chaos fuzz gate, which drives the
+//! production induction against the Hirschberg oracle, lives in the
+//! `tableseg-oracle` crate.
 
 use tableseg::html::lexer::tokenize_bytes;
 use tableseg::html::Token;
-use tableseg::template::lcs::lcs_indices;
-use tableseg::template::{
-    assess, candidate_streams, induce_histogram, induce_interned, lcs_indices_histogram, Induction,
-    Interner, Symbol,
-};
-use tableseg_sitegen::chaos::{apply_chaos, ChaosConfig};
+use tableseg::template::{assess, induce_with, Induction, Interner, Symbol};
 use tableseg_sitegen::paper_sites;
 use tableseg_sitegen::site::generate;
-
-/// The base fuzz seed: `PROPTEST_SEED` when set (decimal or `0x` hex),
-/// a fixed default otherwise.
-fn base_seed() -> u64 {
-    match std::env::var("PROPTEST_SEED") {
-        Ok(raw) => match raw.strip_prefix("0x") {
-            Some(hex) => u64::from_str_radix(hex, 16).expect("PROPTEST_SEED hex"),
-            None => raw.parse().expect("PROPTEST_SEED u64"),
-        },
-        Err(_) => 0x7AB1E5E6,
-    }
-}
 
 fn intern_pages(pages: &[Vec<Token>]) -> (Vec<Vec<Symbol>>, usize) {
     let mut interner = Interner::new();
@@ -95,7 +77,7 @@ fn merge_order_permutations_yield_the_same_template() {
         for perm in perms {
             let permuted: Vec<Vec<Token>> = perm.iter().map(|&i| pages[i].clone()).collect();
             let (streams, num_symbols) = intern_pages(&permuted);
-            let ind = induce_histogram(&permuted, &streams, num_symbols);
+            let ind = induce_with(&permuted, &streams, num_symbols).0;
             assert_valid_embedding(&ind, &permuted, &format!("{} {perm:?}", spec.name));
             let texts = template_texts(&ind);
             match &baseline {
@@ -129,7 +111,7 @@ fn quality_is_monotone_non_degrading_from_2_to_10_pages() {
                 .map(|p| tokenize_bytes(p.list_html.as_bytes()))
                 .collect();
             let (streams, num_symbols) = intern_pages(&pages);
-            let ind = induce_histogram(&pages, &streams, num_symbols);
+            let ind = induce_with(&pages, &streams, num_symbols).0;
             assert_valid_embedding(&ind, &pages, &format!("{} at {n} pages", spec.name));
             let q = assess(&ind, &pages);
             per_site.push((n, q));
@@ -168,71 +150,4 @@ fn quality_is_monotone_non_degrading_from_2_to_10_pages() {
         usable_10 >= usable_2,
         "usable sites degraded: {usable_2} -> {usable_10}"
     );
-}
-
-/// Seeded fuzz: chaos-mutated pages through `tokenize_bytes`, then both
-/// LCS cores and both induction backends. Nothing may panic; traces must
-/// stay valid common subsequences; the cores must agree on LCS length on
-/// every window shape the mutations produce.
-#[test]
-fn chaos_mutated_pages_drive_both_lcs_paths_safely() {
-    let base = base_seed();
-    let specs = [
-        paper_sites::butler(),
-        paper_sites::amazon(),
-        paper_sites::ohio(),
-    ];
-    for round in 0..4u64 {
-        for (si, spec) in specs.iter().enumerate() {
-            let seed = base
-                .wrapping_mul(0x9E37_79B9_7F4A_7C15)
-                .wrapping_add(round * 31 + si as u64);
-            let (site, _log) = apply_chaos(&generate(spec), &ChaosConfig::uniform(0.4, seed));
-            let pages: Vec<Vec<Token>> = site
-                .pages
-                .iter()
-                .map(|p| tokenize_bytes(p.list_html.as_bytes()))
-                .collect();
-            let (streams, num_symbols) = intern_pages(&pages);
-            let ctx = format!("{} seed {seed:#x}", spec.name);
-
-            // Full raw streams (truncated for the quadratic oracle):
-            // repeat-heavy windows that drive the histogram core's filter,
-            // fallback and split paths.
-            let a: Vec<Symbol> = streams[0].iter().copied().take(500).collect();
-            let b: Vec<Symbol> = streams[1].iter().copied().take(500).collect();
-            check_cores_agree(&a, &b, &format!("{ctx} raw"));
-
-            // Candidate streams: the unique-per-page fast path.
-            let filtered = candidate_streams(&streams, num_symbols);
-            let fa: Vec<Symbol> = filtered[0].iter().map(|&(s, _)| s).collect();
-            let fb: Vec<Symbol> = filtered[1].iter().map(|&(s, _)| s).collect();
-            check_cores_agree(&fa, &fb, &format!("{ctx} filtered"));
-
-            // Both induction backends over the damaged site: valid
-            // embeddings, no panics.
-            let hist = induce_histogram(&pages, &streams, num_symbols);
-            assert_valid_embedding(&hist, &pages, &format!("{ctx} histogram"));
-            let oracle = induce_interned(&pages, &streams, num_symbols);
-            assert_valid_embedding(&oracle, &pages, &format!("{ctx} hirschberg"));
-        }
-    }
-}
-
-/// Both cores on one window pair: equal LCS length, valid traces.
-fn check_cores_agree(a: &[Symbol], b: &[Symbol], ctx: &str) {
-    let oracle = lcs_indices(a, b);
-    let fast = lcs_indices_histogram(a, b);
-    assert_eq!(fast.len(), oracle.len(), "{ctx}: LCS length diverged");
-    for pairs in [&oracle, &fast] {
-        for w in pairs.windows(2) {
-            assert!(
-                w[0].0 < w[1].0 && w[0].1 < w[1].1,
-                "{ctx}: trace not increasing"
-            );
-        }
-        for &(i, j) in pairs.iter() {
-            assert_eq!(a[i], b[j], "{ctx}: trace pair mismatch at ({i}, {j})");
-        }
-    }
 }

@@ -14,7 +14,7 @@
 //! most of their token stream; ad pages do not.
 
 use tableseg_html::lexer::tokenize;
-use tableseg_template::intern::Interner;
+use tableseg_html::Interner;
 use tableseg_template::lcs::lcs_length;
 
 /// Similarity threshold for two pages to be considered same-template.

@@ -73,7 +73,6 @@ pub mod record;
 pub mod robustness;
 pub mod segmenter;
 pub mod timing;
-pub mod vertical;
 pub mod wrapper;
 
 pub use annotate::{annotate_columns, recognize, ColumnAnnotation, SemanticLabel};

@@ -21,7 +21,7 @@ use std::collections::HashMap;
 
 use tableseg_html::lexer::tokenize;
 use tableseg_html::links::extract_links;
-use tableseg_template::intern::Interner;
+use tableseg_html::Interner;
 
 use crate::detail_id::{identify_detail_pages, page_similarity};
 

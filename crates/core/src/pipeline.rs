@@ -14,7 +14,7 @@ use tableseg_extract::{PageIndex, SeparatorMask};
 use tableseg_html::scan::{scan, ScanTokens};
 use tableseg_html::{Interner, SegError, Symbol, Token};
 use tableseg_obs::{Counter, Hist, Recorder};
-use tableseg_template::{assess, induce_with, InduceOptions, Induction, TemplateQuality};
+use tableseg_template::{assess, induce_with, Induction, TemplateQuality};
 
 use crate::detect::{detect_regions, DetectOptions, Detection, Region};
 use crate::outcome::caught;
@@ -70,10 +70,9 @@ pub struct PreparedPage {
 
 /// The per-site front-end state: tokenized sample list pages plus the
 /// induced template and its quality verdict. Build it once per site with
-/// [`SiteTemplate::build`] (histogram-LCS rolling merge by default;
-/// [`SiteTemplate::build_with`] selects the backend), then call
-/// [`prepare_with_template`] for each page — template induction runs
-/// exactly once no matter how many pages are segmented.
+/// [`SiteTemplate::build`], then call [`prepare_with_template`] for each
+/// page — template induction runs exactly once no matter how many pages
+/// are segmented ([`SiteTemplate::inductions`] says how many ran).
 #[derive(Debug, Clone)]
 pub struct SiteTemplate {
     /// Token streams of the sample list pages, in input order.
@@ -101,20 +100,17 @@ pub struct SiteTemplate {
     /// Site-level observability metrics (sites processed, template
     /// inductions). Empty unless [`tableseg_obs::set_enabled`] is on.
     pub metrics: Recorder,
+    /// Template inductions run to produce this state: 1 from
+    /// [`SiteTemplate::build`], 0 from [`SiteTemplate::try_refresh`],
+    /// which re-anchors the cached template instead. Recorded whether or
+    /// not metrics are enabled, so callers can count inductions per run.
+    pub inductions: u64,
 }
 
 impl SiteTemplate {
     /// Tokenizes and interns the sample list pages, induces the site's
-    /// template (with the default, histogram-LCS backend), and indexes
-    /// each list page for extract matching.
+    /// template, and indexes each list page for extract matching.
     pub fn build(list_pages: &[&str]) -> SiteTemplate {
-        SiteTemplate::build_with(list_pages, &InduceOptions::default())
-    }
-
-    /// [`SiteTemplate::build`] with an explicit induction backend. The
-    /// Hirschberg path (`histogram: false`) is the differential oracle;
-    /// benches build both and compare.
-    pub fn build_with(list_pages: &[&str], opts: &InduceOptions) -> SiteTemplate {
         let mut timings = StageTimes::new();
         // Zero-copy front end: each list page is scanned into span tokens
         // and interned in one pass; the owned token stream (template
@@ -134,14 +130,12 @@ impl SiteTemplate {
         let (induction, quality, stats, fold_elapsed) =
             timings.time(Stage::TemplateInduction, || {
                 let fold_start = std::time::Instant::now();
-                let (induction, stats) = induce_with(&pages, &streams, interner.len(), opts);
+                let (induction, stats) = induce_with(&pages, &streams, interner.len());
                 let fold_elapsed = fold_start.elapsed();
                 let quality = assess(&induction, &pages);
                 (induction, quality, stats, fold_elapsed)
             });
-        if opts.histogram {
-            timings.add(Stage::InduceHistogram, fold_elapsed);
-        }
+        timings.add(Stage::InduceHistogram, fold_elapsed);
         let (separators, page_indexes) = timings.time(Stage::Matching, || {
             let separators = SeparatorMask::build(&interner);
             let page_indexes: Vec<PageIndex> = streams
@@ -160,7 +154,8 @@ impl SiteTemplate {
                 metrics.observe(Hist::FrontendPageBytes, p.len() as u64);
             }
         }
-        metrics.incr(Counter::TemplateInductions);
+        let inductions = 1;
+        metrics.bump(Counter::TemplateInductions, inductions);
         metrics.bump(Counter::TemplateMergeFolds, stats.folds as u64);
         metrics.bump(
             Counter::TemplateAnchorsDropped,
@@ -180,6 +175,7 @@ impl SiteTemplate {
             quality,
             timings,
             metrics,
+            inductions,
         }
     }
 
@@ -202,7 +198,7 @@ impl SiteTemplate {
     /// ([`tableseg_template::restabilize`]) then re-runs over the full
     /// sample and the quality is re-assessed — but **induction itself
     /// does not re-run**, which is what makes a serving layer's warm
-    /// path cheap ([`tableseg_template::induction_count`] stays flat).
+    /// path cheap (the result's [`SiteTemplate::inductions`] is 0).
     ///
     /// Returns `None` — the caller must fall back to a full
     /// [`SiteTemplate::build`] — when the refresh would degrade the
@@ -331,6 +327,7 @@ impl SiteTemplate {
             quality,
             timings,
             metrics,
+            inductions: 0,
         })
     }
 }
@@ -765,11 +762,11 @@ mod tests {
     fn refresh_with_identical_pages_reproduces_template() {
         let (a, b, _) = two_page_site();
         let cached = SiteTemplate::build(&[&a, &b]);
-        let before = tableseg_template::induction_count();
+        assert_eq!(cached.inductions, 1);
         let refreshed = cached
             .try_refresh(&[&a, &b], &[true, true])
             .expect("identical bytes must refresh");
-        assert_eq!(tableseg_template::induction_count(), before);
+        assert_eq!(refreshed.inductions, 0, "refresh must not re-induce");
         assert_eq!(
             refreshed.induction.template.tokens, cached.induction.template.tokens,
             "refresh of unchanged pages must keep the template"

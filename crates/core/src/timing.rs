@@ -47,8 +47,7 @@ pub enum Stage {
     SolveEmMStep,
     /// Sub-stage of `SolveProb`: the final MAP decode.
     SolveViterbi,
-    /// Sub-stage of `TemplateInduction`: the histogram-LCS rolling merge
-    /// (zero when the Hirschberg oracle path is selected).
+    /// Sub-stage of `TemplateInduction`: the histogram-LCS rolling merge.
     InduceHistogram,
     /// Sub-stage of `Extraction`: table-region detection ahead of the
     /// per-region front end (zero on the classic, detect-disabled path).

@@ -21,10 +21,6 @@
 //!    from the strict rung's best assignment — the strict and relaxed
 //!    encodings share their variable layout, so the previous rung's
 //!    solution projects directly onto each component.
-//!
-//! Setting [`CspOptions::reduce`] to `false` restores the whole-instance
-//! ladder (encode → solve → BnB → relax), which doubles as the
-//! differential oracle for the reduced path in tests and `solvebench`.
 
 use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::mpsc;
@@ -35,10 +31,9 @@ use tableseg_extract::{Observations, Segmentation};
 
 use crate::encoder::{encode, EncodeOptions};
 use crate::exact::{solve_bnb, BnbOutcome};
-use crate::model::Model;
 use crate::reduce::{reduce_model, Component};
 use crate::solution::decode;
-use crate::wsat::{reference::solve_reference, solve, solve_warm, WsatConfig, WsatResult};
+use crate::wsat::{solve, solve_warm, WsatConfig, WsatResult};
 
 /// Node cap for the exact-first pass over relaxed components. Small
 /// components finish in well under this; anything that does not is
@@ -58,15 +53,6 @@ pub struct CspOptions {
     /// larger than this skip branch-and-bound entirely (treated as
     /// `Unknown`) and go straight to the stochastic relaxation path.
     pub bnb_var_cap: usize,
-    /// Use the pre-overhaul sequential WSAT implementation instead of the
-    /// cached-delta parallel one. The `solvebench` baseline; leave `false`
-    /// everywhere else. Implies the whole-instance (unreduced) ladder.
-    pub reference_solver: bool,
-    /// Reduce each encoding (propagation + entailment + decomposition)
-    /// and solve components independently with warm starts. `false`
-    /// restores the whole-instance ladder — the differential oracle and
-    /// the `solvebench` "prev" leg.
-    pub reduce: bool,
 }
 
 impl Default for CspOptions {
@@ -76,8 +62,6 @@ impl Default for CspOptions {
             position_constraints: true,
             bnb_budget: 2_000_000,
             bnb_var_cap: 220,
-            reference_solver: false,
-            reduce: true,
         }
     }
 }
@@ -112,8 +96,7 @@ pub struct CspOutcome {
     /// Total WSAT restarts (tries) across the strict and relaxed solves.
     pub tries: u64,
     /// Constraint-graph components solved independently, summed over the
-    /// strict and relaxed phases (0 when reduction is off or propagation
-    /// solved everything).
+    /// strict and relaxed phases (0 when propagation solved everything).
     pub components: usize,
     /// Variables removed from the search space by reduction (forced by
     /// propagation + assigned free), summed over phases.
@@ -159,11 +142,7 @@ pub fn segment_csp(obs: &Observations, opts: &CspOptions) -> CspOutcome {
             reduce_ns: 0,
         };
     }
-    if opts.reduce && !opts.reference_solver {
-        segment_reduced(obs, opts)
-    } else {
-        segment_whole(obs, opts)
-    }
+    segment_reduced(obs, opts)
 }
 
 /// Solves every component (work-stealing over scoped threads when
@@ -413,112 +392,6 @@ fn segment_reduced(obs: &Observations, opts: &CspOptions) -> CspOutcome {
     }
 }
 
-/// The pre-reduction whole-instance ladder, kept as the differential
-/// oracle (and the `reference_solver` path).
-fn segment_whole(obs: &Observations, opts: &CspOptions) -> CspOutcome {
-    let solver: fn(&Model, &WsatConfig) -> WsatResult = if opts.reference_solver {
-        solve_reference
-    } else {
-        solve
-    };
-
-    // Step 1: strict problem via stochastic search.
-    let strict_enc = encode(
-        obs,
-        &EncodeOptions {
-            relaxed: false,
-            position_constraints: opts.position_constraints,
-        },
-    );
-    let strict = solver(&strict_enc.model, &opts.wsat);
-    if strict.feasible {
-        return CspOutcome {
-            segmentation: decode(&strict_enc, &strict.assignment, obs),
-            status: CspStatus::Solved,
-            strict_violation: 0,
-            flips: strict.flips,
-            tries: strict.tries,
-            components: 0,
-            pruned_vars: 0,
-            warm_start_hits: 0,
-            reduce_ns: 0,
-        };
-    }
-
-    // Step 2: exact cross-check (skipped for oversized encodings).
-    let strict_bnb = if strict_enc.model.num_vars <= opts.bnb_var_cap {
-        solve_bnb(&strict_enc.model, opts.bnb_budget)
-    } else {
-        BnbOutcome::Unknown
-    };
-    match strict_bnb {
-        BnbOutcome::Optimal { assignment, .. } => {
-            return CspOutcome {
-                segmentation: decode(&strict_enc, &assignment, obs),
-                status: CspStatus::Solved,
-                strict_violation: 0,
-                flips: strict.flips,
-                tries: strict.tries,
-                components: 0,
-                pruned_vars: 0,
-                warm_start_hits: 0,
-                reduce_ns: 0,
-            };
-        }
-        BnbOutcome::Infeasible | BnbOutcome::Unknown => {}
-    }
-
-    // Step 3: relaxed optimization.
-    let relaxed_enc = encode(
-        obs,
-        &EncodeOptions {
-            relaxed: true,
-            position_constraints: opts.position_constraints,
-        },
-    );
-    // The relaxed problem is solved by stochastic search alone, exactly as
-    // the paper did with WSAT(OIP): the resulting partial assignment is a
-    // good local optimum but not necessarily the global maximum — which is
-    // precisely why the paper's relaxed solutions on dirty sites were
-    // partial ("not every extract was assigned to a record", Section 6.3).
-    // The relaxation itself yields an objective upper bound (one record
-    // per extract), letting the search stop as soon as every extract is
-    // assigned rather than burning the remaining restart budget.
-    let relaxed_cfg = WsatConfig {
-        objective_target: relaxed_enc.objective_upper_bound(),
-        ..opts.wsat
-    };
-    let relaxed = solver(&relaxed_enc.model, &relaxed_cfg);
-    let flips = strict.flips + relaxed.flips;
-    let tries = strict.tries + relaxed.tries;
-    if !relaxed.feasible {
-        return CspOutcome {
-            segmentation: Segmentation::unassigned(obs.num_records, obs.items.len()),
-            status: CspStatus::Failed,
-            strict_violation: strict.violation,
-            flips,
-            tries,
-            components: 0,
-            pruned_vars: 0,
-            warm_start_hits: 0,
-            reduce_ns: 0,
-        };
-    }
-    let best_assignment = relaxed.assignment;
-
-    CspOutcome {
-        segmentation: decode(&relaxed_enc, &best_assignment, obs),
-        status: CspStatus::SolvedRelaxed,
-        strict_violation: strict.violation,
-        flips,
-        tries,
-        components: 0,
-        pruned_vars: 0,
-        warm_start_hits: 0,
-        reduce_ns: 0,
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -602,41 +475,6 @@ mod tests {
         assert!(out.segmentation.assigned_count() >= 2, "{out:?}");
         assert!(out.strict_violation > 0);
         let _ = obs;
-    }
-
-    #[test]
-    fn reduced_path_agrees_with_whole_instance_oracle() {
-        // The differential gate of the PR 9 tentpole: on every fixture the
-        // reduced/decomposed/warm-started ladder must reach the same status
-        // as the whole-instance ladder, with a valid segmentation.
-        let fixtures: Vec<Observations> = vec![crate::encoder::tests::superpages_obs(), {
-            let list =
-                tokenize("<td>Alpha One</td><td>Parole</td><td>Beta Two</td><td>Parole</td>");
-            let d1 = tokenize("<p>Alpha One</p><p>Parole</p>");
-            let d2 = tokenize("<p>Beta Two</p><p>Parolee</p>");
-            let refs: Vec<&[Token]> = vec![&d1, &d2];
-            build_observations(&list, &[], &refs)
-        }];
-        for obs in &fixtures {
-            let reduced = segment_csp(obs, &CspOptions::default());
-            let whole = segment_csp(
-                obs,
-                &CspOptions {
-                    reduce: false,
-                    ..CspOptions::default()
-                },
-            );
-            assert_eq!(reduced.status, whole.status);
-            assert_eq!(reduced.strict_violation > 0, whole.strict_violation > 0);
-            for (i, &a) in reduced.segmentation.assignments.iter().enumerate() {
-                if let Some(r) = a {
-                    assert!(obs.items[i].on_page(r));
-                }
-            }
-            if reduced.status == CspStatus::Solved {
-                assert_eq!(reduced.segmentation, whole.segmentation);
-            }
-        }
     }
 
     #[test]

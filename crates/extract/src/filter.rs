@@ -62,21 +62,23 @@ pub fn decide(
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::matcher::MatchStream;
+    use crate::matcher::PageIndex;
     use tableseg_html::lexer::tokenize;
-
-    fn stream(html: &str) -> MatchStream {
-        MatchStream::new(&tokenize(html))
-    }
+    use tableseg_html::{Interner, Symbol};
 
     /// The closure production callers build over the other list pages.
-    fn on_all(needle: &[&str], others: &[MatchStream]) -> bool {
-        !others.is_empty() && others.iter().all(|s| s.contains(needle))
+    fn on_all(needle: &[&str], others: &[&str]) -> bool {
+        let mut interner = Interner::new();
+        let needle: Vec<Symbol> = needle.iter().map(|w| interner.intern(w)).collect();
+        !others.is_empty()
+            && others
+                .iter()
+                .all(|page| PageIndex::build(&tokenize(page), &interner).contains(&needle))
     }
 
     #[test]
     fn keeps_discriminating_extract() {
-        let others = vec![stream("other page")];
+        let others = ["other page"];
         assert_eq!(
             decide(1, 3, || on_all(&["John", "Smith"], &others)),
             Decision::Keep
@@ -101,7 +103,7 @@ mod tests {
 
     #[test]
     fn skips_on_all_list_pages() {
-        let others = vec![stream("Search Again here"), stream("x Search Again")];
+        let others = ["Search Again here", "x Search Again"];
         assert_eq!(
             decide(1, 3, || on_all(&["Search", "Again"], &others)),
             Decision::Skip(SkipReason::OnAllListPages)
@@ -110,7 +112,7 @@ mod tests {
 
     #[test]
     fn kept_when_absent_from_some_list_page() {
-        let others = vec![stream("John Smith"), stream("nothing relevant")];
+        let others = ["John Smith", "nothing relevant"];
         assert_eq!(
             decide(1, 3, || on_all(&["John", "Smith"], &others)),
             Decision::Keep

@@ -11,82 +11,16 @@
 //! detail pages (Minnesota Corrections) breaks matching, and we want to
 //! reproduce that behaviour faithfully.
 //!
-//! Two implementations coexist:
-//!
-//! * [`PageIndex`] — the production path. The reduced stream is interned
-//!   to [`Symbol`]s and indexed by first symbol, so a needle is verified
-//!   only at the positions where its first token actually occurs; each
-//!   comparison is one integer compare and page text is never cloned.
-//! * [`MatchStream`] — the original clone-and-scan string matcher, kept as
-//!   the differential-test **oracle** (see `tests/extract_props.rs`) and
-//!   as the reference semantics for the indexed path.
+//! [`PageIndex`] interns the reduced stream to [`Symbol`]s and indexes it
+//! by first symbol, so a needle is verified only at the positions where its
+//! first token actually occurs; each comparison is one integer compare and
+//! page text is never cloned. The original clone-and-scan string matcher
+//! it replaced lives on as the differential-test oracle in the
+//! `tableseg-oracle` crate.
 
 use tableseg_html::{Interner, Symbol, Token, UNKNOWN_SYMBOL};
 
 use crate::separator::{is_separator, SeparatorMask};
-
-/// A page reduced to its non-separator tokens, the form in which extract
-/// matching is performed. Construction is O(page length); each match query
-/// is a naive linear scan of the whole reduced stream.
-///
-/// This is the **oracle** implementation: simple enough to trust, used by
-/// the property tests to validate [`PageIndex`], which must return exactly
-/// the same positions. Production code goes through [`PageIndex`].
-#[derive(Debug, Clone)]
-pub struct MatchStream {
-    texts: Vec<String>,
-}
-
-impl MatchStream {
-    /// Builds the match stream of a page.
-    pub fn new(tokens: &[Token]) -> MatchStream {
-        MatchStream {
-            texts: tokens
-                .iter()
-                .filter(|t| !is_separator(t))
-                .map(|t| t.text.clone())
-                .collect(),
-        }
-    }
-
-    /// Number of matchable tokens.
-    pub fn len(&self) -> usize {
-        self.texts.len()
-    }
-
-    /// True if the page has no matchable tokens.
-    pub fn is_empty(&self) -> bool {
-        self.texts.is_empty()
-    }
-
-    /// The token texts.
-    pub fn texts(&self) -> &[String] {
-        &self.texts
-    }
-
-    /// All starting positions (token number within this reduced stream) at
-    /// which `needle` occurs as a contiguous run.
-    pub fn find_all(&self, needle: &[&str]) -> Vec<usize> {
-        if needle.is_empty() || needle.len() > self.texts.len() {
-            return Vec::new();
-        }
-        let mut out = Vec::new();
-        'outer: for start in 0..=self.texts.len() - needle.len() {
-            for (k, &n) in needle.iter().enumerate() {
-                if self.texts[start + k] != n {
-                    continue 'outer;
-                }
-            }
-            out.push(start);
-        }
-        out
-    }
-
-    /// Returns `true` if `needle` occurs at least once.
-    pub fn contains(&self, needle: &[&str]) -> bool {
-        !self.find_all(needle).is_empty()
-    }
-}
 
 /// A page reduced to its non-separator **symbols**, with an occurrence
 /// index: `occ` holds every `(symbol, position)` pair of the reduced
@@ -178,8 +112,7 @@ impl PageIndex {
     }
 
     /// All starting positions (token number within the reduced stream) at
-    /// which `needle` occurs as a contiguous run, ascending — exactly the
-    /// positions [`MatchStream::find_all`] reports for the needle's texts.
+    /// which `needle` occurs as a contiguous run, ascending.
     pub fn find_all(&self, needle: &[Symbol]) -> Vec<u32> {
         let mut out = Vec::new();
         self.for_each_match(needle, |pos| {
@@ -231,10 +164,6 @@ mod tests {
     use super::*;
     use tableseg_html::lexer::tokenize;
 
-    fn stream(html: &str) -> MatchStream {
-        MatchStream::new(&tokenize(html))
-    }
-
     /// Interner over the needle + index over the page, the way production
     /// code pairs them.
     fn indexed(needle_html: &str, page_html: &str) -> (Vec<Symbol>, PageIndex) {
@@ -251,25 +180,18 @@ mod tests {
     #[test]
     fn ignores_intervening_tags() {
         // The paper's footnote example.
-        let s = stream("FirstName <br>LastName");
-        assert!(s.contains(&["FirstName", "LastName"]));
         let (needle, index) = indexed("FirstName LastName", "FirstName <br>LastName");
         assert!(index.contains(&needle));
     }
 
     #[test]
     fn ignores_intervening_special_punctuation() {
-        let s = stream("Name: John | Smith");
-        assert!(s.contains(&["John", "Smith"]));
         let (needle, index) = indexed("John Smith", "Name: John | Smith");
         assert!(index.contains(&needle));
     }
 
     #[test]
     fn preserves_allowed_punctuation() {
-        let s = stream("(740) 335-5555");
-        assert!(s.contains(&["(", "740", ")", "335", "-", "5555"]));
-        assert!(!s.contains(&["740", "335", "5555"]));
         let (needle, index) = indexed("(740) 335-5555", "(740) 335-5555");
         assert!(index.contains(&needle));
         let (needle, index) = indexed("740 335 5555", "(740) 335-5555");
@@ -278,9 +200,6 @@ mod tests {
 
     #[test]
     fn case_sensitive() {
-        let s = stream("PAROLE");
-        assert!(!s.contains(&["Parole"]));
-        assert!(s.contains(&["PAROLE"]));
         let (needle, index) = indexed("Parole", "PAROLE");
         assert!(!index.contains(&needle));
         let (needle, index) = indexed("PAROLE", "PAROLE");
@@ -289,11 +208,6 @@ mod tests {
 
     #[test]
     fn find_all_positions() {
-        let s = stream("a b a b a");
-        assert_eq!(s.find_all(&["a", "b"]), vec![0, 2]);
-        assert_eq!(s.find_all(&["a"]), vec![0, 2, 4]);
-        assert_eq!(s.find_all(&["b", "a"]), vec![1, 3]);
-
         let (needle, index) = indexed("a b", "a b a b a");
         assert_eq!(index.find_all(&needle), vec![0, 2]);
         assert_eq!(index.find_all(&needle[..1]), vec![0, 2, 4]);
@@ -303,10 +217,6 @@ mod tests {
 
     #[test]
     fn needle_longer_than_page() {
-        let s = stream("x");
-        assert!(s.find_all(&["x", "y"]).is_empty());
-        assert!(s.find_all(&[]).is_empty());
-
         let (needle, index) = indexed("x y", "x");
         assert!(index.find_all(&needle).is_empty());
         assert!(index.find_all(&[]).is_empty());
@@ -316,19 +226,12 @@ mod tests {
     #[test]
     fn positions_index_reduced_stream() {
         // Tags do not count towards positions.
-        let s = stream("<html><body>first <b>second</b></body>");
-        assert_eq!(s.find_all(&["second"]), vec![1]);
         let (needle, index) = indexed("second", "<html><body>first <b>second</b></body>");
         assert_eq!(index.find_all(&needle), vec![1]);
     }
 
     #[test]
     fn empty_page() {
-        let s = stream("<br><td></td>");
-        assert!(s.is_empty());
-        assert_eq!(s.len(), 0);
-        assert!(!s.contains(&["x"]));
-
         let (needle, index) = indexed("x", "<br><td></td>");
         assert!(index.is_empty());
         assert_eq!(index.len(), 0);

@@ -5,15 +5,15 @@
 //! [`match_extracts_indexed`]): each page is reduced and indexed once
 //! ([`PageIndex`]), needles are symbol slices, and repeated extracts (the
 //! paper's E₁/E₅ "John Smith") are matched once and memoized. The original
-//! string-scanning implementation survives as [`match_extracts_naive`],
-//! the differential-test oracle.
+//! string-scanning implementation survives as the differential-test
+//! oracle in the `tableseg-oracle` crate.
 
 use serde::{Deserialize, Serialize};
 use tableseg_html::{FastMap, Interner, Symbol, Token, TypeSet};
 
 use crate::extracts::{derive_extracts, Extract};
 use crate::filter::{decide, Decision, SkipReason};
-use crate::matcher::{MatchStream, PageIndex};
+use crate::matcher::PageIndex;
 
 /// One observation of an extract on a detail page.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
@@ -177,8 +177,8 @@ struct NeedleMatch {
 /// the same interner the [`PageIndex`]es were built against. Every page is
 /// scanned only at index-construction time; per extract, matching probes
 /// the first-symbol bucket of each page. Results — `D_i` ascending,
-/// positions in `(page, pos)` order — are byte-identical to
-/// [`match_extracts_naive`].
+/// positions in `(page, pos)` order — are byte-identical to a naive
+/// per-extract string scan of every page.
 pub fn match_extracts_indexed(
     extracts: Vec<Extract>,
     needles: &[&[Symbol]],
@@ -228,56 +228,6 @@ pub fn match_extracts_indexed(
 
     Observations {
         num_records: num_details,
-        items,
-        skipped,
-    }
-}
-
-/// The original per-extract string scan over [`MatchStream`]s, kept as the
-/// **test oracle** for the indexed path (see `tests/extract_props.rs`):
-/// trivially correct, no interning, no index, no memoization.
-pub fn match_extracts_naive(
-    extracts: Vec<Extract>,
-    other_list_pages: &[&[Token]],
-    detail_pages: &[&[Token]],
-) -> Observations {
-    let detail_streams: Vec<MatchStream> =
-        detail_pages.iter().map(|p| MatchStream::new(p)).collect();
-    let other_streams: Vec<MatchStream> = other_list_pages
-        .iter()
-        .map(|p| MatchStream::new(p))
-        .collect();
-
-    let mut items = Vec::new();
-    let mut skipped = Vec::new();
-
-    for extract in extracts {
-        let texts = extract.token_texts();
-        let mut pages = Vec::new();
-        let mut positions = Vec::new();
-        for (j, stream) in detail_streams.iter().enumerate() {
-            let hits = stream.find_all(&texts);
-            if !hits.is_empty() {
-                pages.push(j as u32);
-                for pos in hits {
-                    positions.push(PagePos {
-                        page: j as u32,
-                        pos: pos as u32,
-                    });
-                }
-            }
-        }
-        let decision = decide(pages.len(), detail_streams.len(), || {
-            !other_streams.is_empty() && other_streams.iter().all(|s| s.contains(&texts))
-        });
-        match decision {
-            Decision::Keep => items.push(ObsItem::new(extract, pages, positions)),
-            Decision::Skip(reason) => skipped.push(SkippedExtract { extract, reason }),
-        }
-    }
-
-    Observations {
-        num_records: detail_pages.len(),
         items,
         skipped,
     }
@@ -343,17 +293,6 @@ mod tests {
         assert_eq!(pages, vec![0, 1]);
         // E1 and E5 (same string) share the same observations.
         assert_eq!(obs.items[0].positions, obs.items[4].positions);
-    }
-
-    #[test]
-    fn indexed_agrees_with_naive_on_superpages() {
-        let (list, details) = superpages_fixture();
-        let detail_refs: Vec<&[Token]> = details.iter().map(Vec::as_slice).collect();
-        let fast = match_extracts(derive_extracts(&list), &[], &detail_refs);
-        let naive = match_extracts_naive(derive_extracts(&list), &[], &detail_refs);
-        assert_eq!(fast.items, naive.items);
-        assert_eq!(fast.skipped, naive.skipped);
-        assert_eq!(fast.num_records, naive.num_records);
     }
 
     #[test]

@@ -1,18 +1,19 @@
 //! Differential property tests for the scaled linear-space inference
-//! path: the production `emissions_into` + `forward_backward_scaled` +
-//! `viterbi_scaled` pipeline against the log-space originals, plus the
-//! arena-reuse regression of the workspace.
+//! path: the per-edge `emissions_into` + `forward_backward_scaled` and the
+//! production `viterbi_scaled` against the log-space originals, plus the
+//! arena-reuse regression of the production workspace.
 
 use proptest::prelude::*;
 
 use tableseg_html::TypeSet;
-use tableseg_prob::forward_backward::{
-    build_chain, emissions_into, forward_backward, forward_backward_scaled, log_emissions,
-    refresh_chain, FbWorkspace,
+use tableseg_oracle::forward_backward::{
+    emissions_into, forward_backward, forward_backward_scaled, log_emissions, refresh_chain,
 };
+use tableseg_oracle::viterbi::viterbi;
+use tableseg_prob::forward_backward::{build_chain, FbWorkspace};
 use tableseg_prob::model::{Dims, Evidence};
 use tableseg_prob::params::Params;
-use tableseg_prob::viterbi::{viterbi, viterbi_scaled};
+use tableseg_prob::viterbi::viterbi_scaled;
 use tableseg_prob::ProbOptions;
 
 fn arb_evidence(num_records: usize) -> impl Strategy<Value = Vec<Evidence>> {

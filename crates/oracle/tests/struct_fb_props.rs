@@ -11,9 +11,9 @@
 use proptest::prelude::*;
 
 use tableseg_html::TypeSet;
+use tableseg_oracle::forward_backward::{emissions_into, forward_backward_scaled};
 use tableseg_prob::forward_backward::{
-    build_chain, emissions_into, emissions_into_memoized, forward_backward_scaled,
-    forward_backward_struct, FbWorkspace,
+    build_chain, emissions_into_memoized, forward_backward_struct, FbWorkspace,
 };
 use tableseg_prob::model::{Dims, Evidence};
 use tableseg_prob::params::Params;

@@ -13,12 +13,11 @@ use tableseg_extract::{Observations, Segmentation};
 
 use crate::bootstrap;
 use crate::forward_backward::{
-    build_chain, emissions_into, emissions_into_memoized, forward_backward,
-    forward_backward_scaled, forward_backward_struct, log_emissions, refresh_chain, FbWorkspace,
+    build_chain, emissions_into_memoized, forward_backward_struct, FbWorkspace,
 };
 use crate::model::{evidence, Dims, Evidence};
 use crate::params::Params;
-use crate::viterbi::{viterbi, viterbi_scaled};
+use crate::viterbi::viterbi_scaled;
 use crate::{EmTiming, ProbOptions, ProbOutcome};
 
 /// Runs bootstrapped EM and decodes the MAP segmentation.
@@ -46,11 +45,7 @@ pub fn run(obs: &Observations, opts: &ProbOptions) -> ProbOutcome {
     let mut params = Params::uniform(k, pi0);
 
     let mut timing = EmTiming::default();
-    let (log_likelihood, iterations, path) = if opts.log_space {
-        run_log_space(&ev, dims, &mut params, opts, &mut timing)
-    } else {
-        run_scaled(&ev, dims, &mut params, opts, &mut timing)
-    };
+    let (log_likelihood, iterations, path) = run_scaled(&ev, dims, &mut params, opts, &mut timing);
 
     let mut assignments = Vec::with_capacity(ev.len());
     let mut columns = Vec::with_capacity(ev.len());
@@ -73,10 +68,10 @@ pub fn run(obs: &Observations, opts: &ProbOptions) -> ProbOutcome {
     }
 }
 
-/// The production EM loop: the chain is built once and only its edge
-/// probabilities refresh each iteration, emissions/posteriors live in
-/// flat arenas reused across iterations, and inference runs in scaled
-/// linear space.
+/// The EM loop: emissions/posteriors live in flat arenas reused across
+/// iterations, the E-step is the memoized emission blocks plus the
+/// structured block kernel in scaled linear space, and the chain is
+/// materialized only for the final Viterbi decode.
 fn run_scaled(
     ev: &[Evidence],
     dims: Dims,
@@ -84,13 +79,7 @@ fn run_scaled(
     opts: &ProbOptions,
     timing: &mut EmTiming,
 ) -> (f64, usize, Vec<usize>) {
-    let memo = opts.memo_e_step;
     let mut ws = FbWorkspace::new();
-    // The structured pass reads the transition structure straight from the
-    // parameters, so the memoized path defers chain construction to the
-    // final Viterbi decode; the unmemoized leg still refreshes a chain
-    // every iteration.
-    let mut chain = (!memo).then(|| build_chain(dims, params, opts));
     let mut prev_ll = f64::NEG_INFINITY;
     let mut iterations = 0;
     // `true` while `ws.emits` matches the current `params`, so a converged
@@ -99,13 +88,8 @@ fn run_scaled(
     for it in 0..opts.max_iterations {
         iterations = it + 1;
         let t = Instant::now();
-        let ll = if memo {
-            emissions_into_memoized(ev, params, dims, opts, &mut ws);
-            forward_backward_struct(dims, params, opts, &mut ws, ev)
-        } else {
-            emissions_into(ev, params, dims, opts, &mut ws);
-            forward_backward_scaled(chain.as_ref().expect("unmemoized leg"), &mut ws, ev)
-        };
+        emissions_into_memoized(ev, params, dims, opts, &mut ws);
+        let ll = forward_backward_struct(dims, params, opts, &mut ws, ev);
         emits_fresh = true;
         timing.e_step_ns += t.elapsed().as_nanos() as u64;
 
@@ -126,82 +110,19 @@ fn run_scaled(
             &ws.counts.end,
             &ws.counts.cont,
         );
-        if let Some(chain) = chain.as_mut() {
-            refresh_chain(chain, params, opts);
-        }
         emits_fresh = false;
         timing.m_step_ns += t.elapsed().as_nanos() as u64;
     }
 
-    // MAP decode with the final parameters (the memoized path builds its
-    // chain only now; the emission arena is refreshed only when the loop
-    // exhausted its iteration budget with the M-step as the last word).
+    // MAP decode with the final parameters (the emission arena is
+    // refreshed only when the loop exhausted its iteration budget with the
+    // M-step as the last word).
     let t = Instant::now();
     if !emits_fresh {
-        if memo {
-            emissions_into_memoized(ev, params, dims, opts, &mut ws);
-        } else {
-            emissions_into(ev, params, dims, opts, &mut ws);
-        }
+        emissions_into_memoized(ev, params, dims, opts, &mut ws);
     }
-    let chain = match chain {
-        Some(chain) => chain,
-        None => build_chain(dims, params, opts),
-    };
+    let chain = build_chain(dims, params, opts);
     let path = viterbi_scaled(&chain, &ws);
-    timing.viterbi_ns += t.elapsed().as_nanos() as u64;
-    (prev_ll, iterations, path)
-}
-
-/// The pre-overhaul log-space EM loop, kept verbatim (fresh chain and
-/// emission tables every iteration, per-cell `ln`/`exp` inference) as the
-/// differential oracle and `solvebench` baseline.
-fn run_log_space(
-    ev: &[Evidence],
-    dims: Dims,
-    params: &mut Params,
-    opts: &ProbOptions,
-    timing: &mut EmTiming,
-) -> (f64, usize, Vec<usize>) {
-    let mut prev_ll = f64::NEG_INFINITY;
-    let mut iterations = 0;
-    // Chain and emission tables from a converged iteration, still valid
-    // for decoding because the early exit skipped the M-step.
-    let mut converged = None;
-    for it in 0..opts.max_iterations {
-        iterations = it + 1;
-        let t = Instant::now();
-        let chain = build_chain(dims, params, opts);
-        let emits = log_emissions(ev, params, dims, opts);
-        let fb = forward_backward(&chain, &emits, ev);
-        timing.e_step_ns += t.elapsed().as_nanos() as u64;
-
-        // Early exit before the M-step, mirroring `run_scaled`.
-        if (fb.log_likelihood - prev_ll).abs() < opts.tolerance {
-            prev_ll = fb.log_likelihood;
-            converged = Some((chain, emits));
-            break;
-        }
-        prev_ll = fb.log_likelihood;
-
-        let t = Instant::now();
-        params.update(
-            &fb.counts.types,
-            &fb.counts.col,
-            &fb.counts.trans,
-            &fb.counts.end,
-            &fb.counts.cont,
-        );
-        timing.m_step_ns += t.elapsed().as_nanos() as u64;
-    }
-
-    let t = Instant::now();
-    let (chain, emits) = converged.unwrap_or_else(|| {
-        let chain = build_chain(dims, params, opts);
-        let emits = log_emissions(ev, params, dims, opts);
-        (chain, emits)
-    });
-    let path = viterbi(&chain, &emits);
     timing.viterbi_ns += t.elapsed().as_nanos() as u64;
     (prev_ll, iterations, path)
 }
@@ -293,89 +214,6 @@ mod tests {
         let out = run(&obs, &ProbOptions::default());
         assert!(out.segmentation.assignments.is_empty());
         assert_eq!(out.iterations, 0);
-    }
-
-    #[test]
-    fn memoized_e_step_matches_unmemoized_bit_for_bit() {
-        let fixtures: [(&str, Vec<&str>); 2] = [
-            (
-                "<td>Alpha One</td><td>100 Main</td><td>Beta Two</td><td>200 Oak</td>",
-                vec![
-                    "<p>Alpha One</p><p>100 Main</p>",
-                    "<p>Beta Two</p><p>200 Oak</p>",
-                ],
-            ),
-            (
-                "<td>Alpha One</td><td>Parole</td><td>Beta Two</td><td>Parole</td>",
-                vec![
-                    "<p>Alpha One</p><p>Parole</p>",
-                    "<p>Beta Two</p><p>Parolee</p>",
-                ],
-            ),
-        ];
-        for (list, details) in fixtures {
-            let list_toks = tokenize(list);
-            let detail_toks: Vec<Vec<tableseg_html::Token>> =
-                details.iter().map(|d| tokenize(d)).collect();
-            let refs: Vec<&[Token]> = detail_toks.iter().map(Vec::as_slice).collect();
-            let obs = build_observations(&list_toks, &[], &refs);
-            let memo = run(&obs, &ProbOptions::default());
-            let plain = run(
-                &obs,
-                &ProbOptions {
-                    memo_e_step: false,
-                    ..ProbOptions::default()
-                },
-            );
-            assert_eq!(memo.segmentation, plain.segmentation);
-            assert_eq!(memo.columns, plain.columns);
-            assert_eq!(memo.iterations, plain.iterations);
-            assert_eq!(
-                memo.log_likelihood.to_bits(),
-                plain.log_likelihood.to_bits()
-            );
-            for (a, b) in memo.period.iter().zip(&plain.period) {
-                assert_eq!(a.to_bits(), b.to_bits());
-            }
-        }
-    }
-
-    #[test]
-    fn converged_run_skips_the_last_m_step() {
-        // With a huge tolerance, iteration 2 converges immediately (the
-        // first delta is infinite): the decode must then use the
-        // parameters of the single M-step that ran, matching the
-        // log-space oracle's early exit.
-        let list_toks =
-            tokenize("<td>Alpha One</td><td>100 Main</td><td>Beta Two</td><td>200 Oak</td>");
-        let d: Vec<Vec<tableseg_html::Token>> = [
-            "<p>Alpha One</p><p>100 Main</p>",
-            "<p>Beta Two</p><p>200 Oak</p>",
-        ]
-        .iter()
-        .map(|s| tokenize(s))
-        .collect();
-        let refs: Vec<&[Token]> = d.iter().map(Vec::as_slice).collect();
-        let obs = build_observations(&list_toks, &[], &refs);
-        let opts = ProbOptions {
-            tolerance: 1e300,
-            ..ProbOptions::default()
-        };
-        let fast = run(&obs, &opts);
-        assert_eq!(fast.iterations, 2);
-        let oracle = run(
-            &obs,
-            &ProbOptions {
-                log_space: true,
-                ..opts
-            },
-        );
-        assert_eq!(oracle.iterations, 2);
-        assert_eq!(fast.segmentation, oracle.segmentation);
-        assert_eq!(fast.columns, oracle.columns);
-        for (a, b) in fast.period.iter().zip(&oracle.period) {
-            assert_eq!(a.to_bits(), b.to_bits());
-        }
     }
 
     #[test]

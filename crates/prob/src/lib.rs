@@ -59,25 +59,6 @@ pub struct ProbOptions {
     /// Disable the hierarchical period model π (Figure 2 instead of
     /// Figure 3); used by the ablation experiments.
     pub period_model: bool,
-    /// Run EM with the original per-cell log-space forward–backward pass
-    /// instead of the scaled linear-space one. Slower; kept as the
-    /// differential oracle for the scaled implementation and as the
-    /// `solvebench` baseline.
-    pub log_space: bool,
-    /// Run the E-step as memoized emission blocks plus the structured
-    /// block kernel (`forward_backward_struct`), which reads transitions
-    /// straight from the parameters. `false` runs the unmemoized per-edge
-    /// scaled pass over a materialized chain instead (the `solvebench`
-    /// prev leg). The two agree to rounding, not to the bit, once a page
-    /// has more than two records: the kernel sums the geometric
-    /// record-boundary fan-out by recurrence. Ignored when `log_space` is
-    /// set.
-    #[serde(default = "default_memo_e_step")]
-    pub memo_e_step: bool,
-}
-
-fn default_memo_e_step() -> bool {
-    true
 }
 
 impl Default for ProbOptions {
@@ -88,8 +69,6 @@ impl Default for ProbOptions {
             epsilon: 1e-6,
             skip_penalty: 0.1,
             period_model: true,
-            log_space: false,
-            memo_e_step: default_memo_e_step(),
         }
     }
 }

@@ -1,13 +1,12 @@
-//! Property tests for the probabilistic model: posterior normalization,
-//! Viterbi validity and EM numeric health on random evidence.
+//! Property tests for the probabilistic model: the full segmenter is
+//! total and deterministic on random evidence. Posterior normalization
+//! and Viterbi validity of the log-space reference passes are checked
+//! in the `tableseg-oracle` crate.
 
 use proptest::prelude::*;
 
 use tableseg_html::TypeSet;
-use tableseg_prob::forward_backward::{build_chain, forward_backward, log_emissions};
-use tableseg_prob::model::{Dims, Evidence};
-use tableseg_prob::params::Params;
-use tableseg_prob::viterbi::viterbi;
+use tableseg_prob::model::Evidence;
 use tableseg_prob::ProbOptions;
 
 fn arb_evidence(num_records: usize) -> impl Strategy<Value = Vec<Evidence>> {
@@ -31,50 +30,6 @@ fn arb_evidence(num_records: usize) -> impl Strategy<Value = Vec<Evidence>> {
 
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(48))]
-
-    /// Forward-backward posteriors are proper distributions, counts are
-    /// conserved, and the log-likelihood is finite — even with impossible
-    /// record evidence (the fallback keeps the chain alive).
-    #[test]
-    fn forward_backward_is_normalized(ev in arb_evidence(4)) {
-        let dims = Dims { num_records: 4, num_columns: 3 };
-        let params = Params::uniform(3, vec![1.0, 1.0, 1.0]);
-        let opts = ProbOptions::default();
-        let chain = build_chain(dims, &params, &opts);
-        let emits = log_emissions(&ev, &params, dims, &opts);
-        let fb = forward_backward(&chain, &emits, &ev);
-        prop_assert!(fb.log_likelihood.is_finite());
-        for (i, row) in fb.gamma.iter().enumerate() {
-            let s: f64 = row.iter().sum();
-            prop_assert!((s - 1.0).abs() < 1e-6, "gamma[{i}] sums to {s}");
-            prop_assert!(row.iter().all(|&g| (-1e-9..=1.0 + 1e-9).contains(&g)));
-        }
-        let col_mass: f64 = fb.counts.col.iter().sum();
-        prop_assert!((col_mass - ev.len() as f64).abs() < 1e-6);
-    }
-
-    /// Every Viterbi step follows an existing chain edge (or the initial
-    /// distribution), and the path length matches the evidence.
-    #[test]
-    fn viterbi_path_is_structurally_valid(ev in arb_evidence(3)) {
-        let dims = Dims { num_records: 3, num_columns: 3 };
-        let params = Params::uniform(3, vec![1.0; 3]);
-        let opts = ProbOptions::default();
-        let chain = build_chain(dims, &params, &opts);
-        let emits = log_emissions(&ev, &params, dims, &opts);
-        let path = viterbi(&chain, &emits);
-        prop_assert_eq!(path.len(), ev.len());
-        // First state is a legal start.
-        prop_assert!(chain.init[path[0]].is_finite());
-        // Every transition is an edge.
-        for w in path.windows(2) {
-            let has_edge = chain.edges[w[0]].iter().any(|e| e.to == w[1]);
-            prop_assert!(has_edge, "no edge {} -> {}", w[0], w[1]);
-        }
-        // Record labels never decrease along the path.
-        let records: Vec<usize> = path.iter().map(|&s| dims.unpack(s).0).collect();
-        prop_assert!(records.windows(2).all(|w| w[0] <= w[1]));
-    }
 
     /// The full segmenter is total, monotone, in-range and deterministic
     /// for arbitrary observation shapes.

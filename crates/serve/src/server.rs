@@ -1,18 +1,21 @@
 //! The `tablesegd` daemon: admission, dispatch, caching, rendering.
 //!
-//! One acceptor thread admits connections into a bounded queue (overflow
-//! is answered `429` + `Retry-After` from the acceptor itself, so
-//! backpressure costs no worker time); a fixed pool of workers drains
-//! the queue, each handling one request per connection. Segmentation
-//! requests fan their targets out over [`tableseg::batch::execute`].
+//! One acceptor thread admits connections into a bounded queue; a fixed
+//! pool of workers drains the queue, each handling one request per
+//! connection. Overflow is answered `429` + `Retry-After` by the acceptor
+//! itself the moment the connection lands, so backpressure costs no
+//! worker time; one drain thread then reads and discards what the
+//! rejected client sends for a short, bounded linger before closing.
+//! Segmentation requests fan their targets out over
+//! [`tableseg::batch::execute`].
 //!
 //! **Site-state lifecycle.** The list pages of a request are
 //! fingerprinted and compared against the cached state:
 //!
 //! * all fingerprints equal → **warm**: the template and any per-target
 //!   results are reused; no pipeline stage re-runs for cached targets
-//!   and no induction runs ([`tableseg::template::induction_count`]
-//!   stays flat).
+//!   and no induction runs (the response manifest records
+//!   `template.inductions` 0).
 //! * same page count, some bytes changed → **refresh**:
 //!   [`SiteTemplate::try_refresh`] re-anchors the cached template onto
 //!   the changed pages (no induction); if slot stability degraded it
@@ -23,7 +26,8 @@
 //! (Prometheus), `GET /healthz`.
 
 use std::collections::HashMap;
-use std::net::{SocketAddr, TcpListener, TcpStream};
+use std::io::Read;
+use std::net::{Shutdown, SocketAddr, TcpListener, TcpStream};
 use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::{Arc, Condvar, Mutex};
 use std::time::{Duration, Instant};
@@ -43,6 +47,19 @@ use crate::http::{read_request, write_response, HttpRequest};
 use crate::proto::{
     encode_response, parse_request, PageResultMsg, SegmentRequest, SegmentResponse, SegmenterMsg,
 };
+
+/// How long a rejected connection is drained after its `429`. Closing a
+/// socket with unread request bytes sends a TCP reset that can clobber
+/// the in-flight response, so the drain thread reads and discards until
+/// the client closes or this linger runs out.
+const REJECT_LINGER: Duration = Duration::from_millis(250);
+
+/// Most rejected connections lingering at once; beyond it the oldest is
+/// closed early. Bounds the file descriptors a rejection flood can pin.
+const REJECT_BACKLOG: usize = 256;
+
+/// Pause between drain sweeps over the lingering connections.
+const REJECT_TICK: Duration = Duration::from_millis(5);
 
 /// Daemon configuration. [`ServerConfig::default`] is sized for tests
 /// and local runs; the `tablesegd` binary maps flags onto it.
@@ -155,6 +172,10 @@ struct Inner {
     shutdown: AtomicBool,
     queue: Mutex<Vec<TcpStream>>,
     queue_ready: Condvar,
+    /// Answered rejections waiting for the drain thread, with the instant
+    /// their linger ends.
+    rejected: Mutex<Vec<(TcpStream, Instant)>>,
+    rejected_ready: Condvar,
 }
 
 /// A running daemon. Dropping the handle does not stop it; call
@@ -181,12 +202,18 @@ impl Server {
             shutdown: AtomicBool::new(false),
             queue: Mutex::new(Vec::new()),
             queue_ready: Condvar::new(),
+            rejected: Mutex::new(Vec::new()),
+            rejected_ready: Condvar::new(),
             config,
         });
         let mut threads = Vec::new();
         for _ in 0..inner.config.workers.max(1) {
             let inner = Arc::clone(&inner);
             threads.push(std::thread::spawn(move || worker_loop(&inner)));
+        }
+        {
+            let inner = Arc::clone(&inner);
+            threads.push(std::thread::spawn(move || drain_loop(&inner)));
         }
         {
             let inner = Arc::clone(&inner);
@@ -210,6 +237,16 @@ impl Server {
         // Wake the acceptor out of accept() with a no-op connection.
         let _ = TcpStream::connect(self.addr);
         self.inner.queue_ready.notify_all();
+        // Notify under the lock so the drain thread cannot miss the flag
+        // between its check and its wait.
+        {
+            let _rejected = self
+                .inner
+                .rejected
+                .lock()
+                .expect("reject queue lock poisoned");
+            self.inner.rejected_ready.notify_all();
+        }
         for t in self.threads {
             let _ = t.join();
         }
@@ -229,32 +266,84 @@ fn acceptor_loop(inner: &Inner, listener: TcpListener) {
         let mut queue = inner.queue.lock().unwrap();
         if queue.len() >= inner.config.queue_depth {
             drop(queue);
-            // Backpressure: answer off the acceptor thread so a full
-            // queue costs no worker time and no acceptor stalls. The
-            // request must be drained before the socket closes —
-            // closing with unread bytes sends a TCP reset that clobbers
-            // the in-flight 429, and the client sees a connection error
-            // instead of the retryable status.
             inner.global.lock().unwrap().incr(Counter::ServeRejected);
-            let max_body = inner.config.max_body;
-            let timeout = inner.config.read_timeout;
-            std::thread::spawn(move || {
-                let mut stream = stream;
-                let _ = stream.set_read_timeout(Some(timeout));
-                let _ = read_request(&mut stream, max_body);
-                let _ = write_response(
-                    &mut stream,
-                    429,
-                    "Too Many Requests",
-                    &[("retry-after", "1")],
-                    b"queue full\n",
-                );
-            });
+            reject(inner, stream);
             continue;
         }
         queue.insert(0, stream);
         inner.queue_ready.notify_one();
     }
+}
+
+/// Backpressure: answers `429` at once (no request bytes needed), half-
+/// closes the write side and hands the socket to the drain thread.
+fn reject(inner: &Inner, mut stream: TcpStream) {
+    let _ = stream.set_write_timeout(Some(REJECT_LINGER));
+    let _ = write_response(
+        &mut stream,
+        429,
+        "Too Many Requests",
+        &[("retry-after", "1")],
+        b"queue full\n",
+    );
+    let _ = stream.shutdown(Shutdown::Write);
+    if stream.set_nonblocking(true).is_ok() {
+        let until = Instant::now() + REJECT_LINGER;
+        inner
+            .rejected
+            .lock()
+            .expect("reject queue lock poisoned")
+            .push((stream, until));
+        inner.rejected_ready.notify_one();
+    }
+}
+
+/// The drain thread: sweeps the lingering rejected connections, reading
+/// and discarding whatever their clients send, and closes each once its
+/// client closes, its linger runs out, or the backlog overflows.
+fn drain_loop(inner: &Inner) {
+    let mut lingering: Vec<(TcpStream, Instant)> = Vec::new();
+    let mut buf = [0u8; 4096];
+    loop {
+        {
+            let mut incoming = inner.rejected.lock().expect("reject queue lock poisoned");
+            while incoming.is_empty() && lingering.is_empty() {
+                if inner.shutdown.load(Ordering::SeqCst) {
+                    return;
+                }
+                incoming = inner
+                    .rejected_ready
+                    .wait(incoming)
+                    .expect("reject queue lock poisoned");
+            }
+            lingering.append(&mut incoming);
+        }
+        if inner.shutdown.load(Ordering::SeqCst) {
+            return;
+        }
+        let overflow = lingering.len().saturating_sub(REJECT_BACKLOG);
+        lingering.drain(..overflow);
+        let now = Instant::now();
+        lingering.retain_mut(|(stream, until)| now < *until && still_sending(stream, &mut buf));
+        if !lingering.is_empty() {
+            std::thread::sleep(REJECT_TICK);
+        }
+    }
+}
+
+/// Discards what is readable on a non-blocking socket; `false` once the
+/// client has closed (or the socket failed), `true` while it may still
+/// send. Reads at most a few buffers per sweep so one fast sender cannot
+/// starve the others.
+fn still_sending(stream: &mut TcpStream, buf: &mut [u8]) -> bool {
+    for _ in 0..16 {
+        match stream.read(buf) {
+            Ok(0) => return false,
+            Ok(_) => {}
+            Err(e) => return e.kind() == std::io::ErrorKind::WouldBlock,
+        }
+    }
+    true
 }
 
 fn worker_loop(inner: &Inner) {

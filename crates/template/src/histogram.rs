@@ -37,8 +37,8 @@
 
 use tableseg_html::intern::FastMap;
 
-use crate::intern::Symbol;
 use crate::lcs::{backward_row, forward_row, lcs_indices};
+use tableseg_html::Symbol;
 
 /// Mixed windows (repeated symbols on both sides) at or below this size
 /// are handed to the Hirschberg DP instead of being split further: at

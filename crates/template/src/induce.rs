@@ -7,54 +7,17 @@
 //! list pages and is invariant from page to page"). Everything between
 //! consecutive template anchors is a slot.
 //!
-//! Two LCS backends drive the fold, selected by [`InduceOptions`] through
-//! the [`induce_with`] entry point: the histogram path
-//! ([`crate::histogram`], production — near-linear on templated pages and
-//! the default) and the Hirschberg path ([`crate::lcs`], kept verbatim as
-//! the differential oracle). The histogram path folds pages in a
-//! *canonical* order (shortest candidate stream first, content
-//! tie-break), so the induced template is invariant under permutations of
-//! the sample pages — the property that makes multi-page rolling merges
-//! (10–100 pages per site) well-defined.
-
-use std::sync::atomic::{AtomicUsize, Ordering};
+//! The fold runs on the histogram-LCS core ([`crate::histogram`]) and
+//! visits pages in a *canonical* order (shortest candidate stream first,
+//! content tie-break), so the induced template is invariant under
+//! permutations of the sample pages — the property that makes multi-page
+//! rolling merges (10–100 pages per site) well-defined.
 
 use serde::{Deserialize, Serialize};
-use tableseg_html::Token;
+use tableseg_html::{Interner, Symbol, Token};
 
 use crate::histogram::{lcs_indices_histogram_stats, LcsStats};
-use crate::intern::{Interner, Symbol};
-use crate::lcs::lcs_indices;
 use crate::slot::{Slot, SlotSet};
-
-/// Process-wide count of template inductions (any entry point).
-static INDUCTIONS: AtomicUsize = AtomicUsize::new(0);
-
-/// How many times induction has run in this process. Template induction
-/// is the front end's most expensive step; batch runs cache it per site,
-/// and tests assert on the *delta* of this counter to prove the cache
-/// works (absolute values include other tests in the same process).
-pub fn induction_count() -> usize {
-    INDUCTIONS.load(Ordering::Relaxed)
-}
-
-/// Selects the template-induction backend. The default is the production
-/// histogram path; `histogram: false` selects the verbatim Hirschberg
-/// fold, kept as the differential oracle (as was done for MatchStream
-/// and the reference WSAT solver).
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub struct InduceOptions {
-    /// Use the histogram-LCS rolling merge ([`crate::histogram`]). When
-    /// `false`, fold with Hirschberg LCS in input-page order — the
-    /// pre-histogram behavior, bit-for-bit.
-    pub histogram: bool,
-}
-
-impl Default for InduceOptions {
-    fn default() -> InduceOptions {
-        InduceOptions { histogram: true }
-    }
-}
 
 /// What one induction did: fold counts, anchor attrition and LCS window
 /// statistics. Flows into the observability counters
@@ -72,7 +35,7 @@ pub struct InduceStats {
     /// Anchors removed by the run-stability pass (the linked-run rule
     /// that guards against coincidental anchors inside slots).
     pub unstable_dropped: usize,
-    /// Histogram-LCS window statistics (all zero on the Hirschberg path).
+    /// Histogram-LCS window statistics, merged over the folds.
     pub lcs: LcsStats,
 }
 
@@ -174,69 +137,28 @@ impl Induction {
 /// empty template and a single slot covering each whole page, which makes
 /// the downstream pipeline equivalent to the paper's whole-page fallback.
 ///
-/// Convenience wrapper over [`induce_with`] — the option-selected entry
-/// point — with default options (the histogram path) and an internal
-/// interner. Pipeline callers that already interned the site's pages
-/// should call [`induce_with`] (or its thin wrappers [`induce_histogram`]
-/// / [`induce_interned`]) directly.
+/// Convenience wrapper over [`induce_with`] with an internal interner.
+/// Pipeline callers that already interned the site's pages call
+/// [`induce_with`] directly.
 pub fn induce(pages: &[Vec<Token>]) -> Induction {
     let mut interner = Interner::new();
     let streams: Vec<Vec<Symbol>> = pages.iter().map(|p| interner.intern_tokens(p)).collect();
-    induce_with(pages, &streams, interner.len(), &InduceOptions::default()).0
+    induce_with(pages, &streams, interner.len()).0
 }
 
-/// [`induce`](fn@induce) over pre-interned symbol streams, on the **Hirschberg
-/// oracle path** (input-order fold, quadratic LCS). Kept verbatim as the
-/// differential baseline; production callers should use [`induce_with`]
-/// — the option-selected entry point — or [`induce_histogram`].
+/// [`induce`](fn@induce) over pre-interned symbol streams, reporting what
+/// the induction did.
 ///
 /// `streams[p]` must be the symbol stream of `pages[p]` (same length, same
 /// order) and `num_symbols` an upper bound on the symbol ids appearing in
 /// the streams (typically `Interner::len`). The interner itself is not
 /// needed: induction compares symbols and takes representative tokens from
 /// the first page.
-pub fn induce_interned(
-    pages: &[Vec<Token>],
-    streams: &[Vec<Symbol>],
-    num_symbols: usize,
-) -> Induction {
-    induce_with(
-        pages,
-        streams,
-        num_symbols,
-        &InduceOptions { histogram: false },
-    )
-    .0
-}
-
-/// [`induce`](fn@induce) over pre-interned symbol streams on the production
-/// **histogram path**: canonical-order rolling merge with the
-/// histogram-LCS core. Thin wrapper over [`induce_with`].
-pub fn induce_histogram(
-    pages: &[Vec<Token>],
-    streams: &[Vec<Symbol>],
-    num_symbols: usize,
-) -> Induction {
-    induce_with(
-        pages,
-        streams,
-        num_symbols,
-        &InduceOptions { histogram: true },
-    )
-    .0
-}
-
-/// The option-selected induction entry point: derives the template from
-/// pre-interned symbol streams with the backend chosen by `opts`, and
-/// reports what it did. See [`induce`](fn@induce) for the template semantics and
-/// [`induce_interned`] for the stream contract.
 pub fn induce_with(
     pages: &[Vec<Token>],
     streams: &[Vec<Symbol>],
     num_symbols: usize,
-    opts: &InduceOptions,
 ) -> (Induction, InduceStats) {
-    INDUCTIONS.fetch_add(1, Ordering::Relaxed);
     debug_assert_eq!(pages.len(), streams.len());
     let mut stats = InduceStats {
         pages: pages.len(),
@@ -253,11 +175,7 @@ pub fn induce_with(
     }
 
     let filtered = candidate_streams(streams, num_symbols);
-    let template: Vec<Symbol> = if opts.histogram {
-        fold_histogram(pages, &filtered, &mut stats)
-    } else {
-        fold_hirschberg(&filtered, &mut stats)
-    };
+    let template = fold_histogram(pages, &filtered, &mut stats);
     let induction = finish(pages, &filtered, template, &mut stats);
     (induction, stats)
 }
@@ -298,25 +216,7 @@ pub fn candidate_streams(streams: &[Vec<Symbol>], num_symbols: usize) -> Vec<Vec
         .collect()
 }
 
-/// The pre-histogram fold, verbatim: progressive Hirschberg LCS over the
-/// candidate streams in input-page order. The differential oracle.
-fn fold_hirschberg(filtered: &[Vec<(Symbol, usize)>], stats: &mut InduceStats) -> Vec<Symbol> {
-    let mut template: Vec<Symbol> = filtered[0].iter().map(|&(s, _)| s).collect();
-    for stream in &filtered[1..] {
-        let s_syms: Vec<Symbol> = stream.iter().map(|&(s, _)| s).collect();
-        let pairs = lcs_indices(&template, &s_syms);
-        stats.folds += 1;
-        stats.anchors_dropped += template.len() - pairs.len();
-        template = pairs.iter().map(|&(ti, _)| template[ti]).collect();
-        if template.is_empty() {
-            break;
-        }
-    }
-    template
-}
-
-/// The production fold: rolling histogram-LCS merge in canonical page
-/// order — shortest candidate stream first (the template is a subsequence
+/// The fold: rolling histogram-LCS merge in canonical page order — shortest candidate stream first (the template is a subsequence
 /// of every stream, so starting small bounds all later folds), token
 /// texts as the deterministic tie-break. The canonical order makes the
 /// induced template invariant under permutations of the sample pages,
@@ -563,16 +463,6 @@ mod tests {
         ))
     }
 
-    /// Runs both backends over the same pages and returns (histogram,
-    /// hirschberg) inductions.
-    fn both_paths(pages: &[Vec<Token>]) -> (Induction, Induction) {
-        let mut interner = Interner::new();
-        let streams: Vec<Vec<Symbol>> = pages.iter().map(|p| interner.intern_tokens(p)).collect();
-        let hist = induce_histogram(pages, &streams, interner.len());
-        let hirsch = induce_interned(pages, &streams, interner.len());
-        (hist, hirsch)
-    }
-
     #[test]
     fn template_is_shared_structure() {
         let pages = vec![
@@ -708,24 +598,6 @@ mod tests {
     }
 
     #[test]
-    fn histogram_and_hirschberg_agree_on_clean_pages() {
-        let pages = vec![
-            page("<tr><td>John Smith</td><td>New Holland</td></tr>"),
-            page("<tr><td>Bob Jones</td><td>Columbus</td></tr><tr><td>Ann Fuller</td><td>Dayton</td></tr>"),
-        ];
-        let (hist, hirsch) = both_paths(&pages);
-        let texts = |i: &Induction| {
-            i.template
-                .tokens
-                .iter()
-                .map(|t| t.text.clone())
-                .collect::<Vec<_>>()
-        };
-        assert_eq!(texts(&hist), texts(&hirsch));
-        assert_eq!(hist.anchors, hirsch.anchors);
-    }
-
-    #[test]
     fn induce_with_reports_stats() {
         let pages = vec![
             page("<tr><td>Alpha Beta</td></tr>"),
@@ -734,7 +606,7 @@ mod tests {
         ];
         let mut interner = Interner::new();
         let streams: Vec<Vec<Symbol>> = pages.iter().map(|p| interner.intern_tokens(p)).collect();
-        let (ind, stats) = induce_with(&pages, &streams, interner.len(), &InduceOptions::default());
+        let (ind, stats) = induce_with(&pages, &streams, interner.len());
         assert_eq!(stats.pages, 3);
         assert_eq!(stats.folds, 2, "{stats:?}");
         assert!(!ind.template.is_empty());
@@ -760,12 +632,12 @@ mod tests {
         };
         let mut interner = Interner::new();
         let streams: Vec<Vec<Symbol>> = pages.iter().map(|p| interner.intern_tokens(p)).collect();
-        let baseline = texts(&induce_histogram(&pages, &streams, interner.len()));
+        let baseline = texts(&induce_with(&pages, &streams, interner.len()).0);
         for perm in [[1, 0, 2], [2, 1, 0], [0, 2, 1], [2, 0, 1], [1, 2, 0]] {
             let p: Vec<Vec<Token>> = perm.iter().map(|&i| pages[i].clone()).collect();
             let mut interner = Interner::new();
             let s: Vec<Vec<Symbol>> = p.iter().map(|pg| interner.intern_tokens(pg)).collect();
-            let ind = induce_histogram(&p, &s, interner.len());
+            let ind = induce_with(&p, &s, interner.len()).0;
             assert_eq!(texts(&ind), baseline, "permutation {perm:?}");
         }
     }

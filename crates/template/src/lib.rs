@@ -13,30 +13,29 @@
 //! tokens".
 //!
 //! Implementation: the template is computed as the progressive longest
-//! common subsequence (LCS) of the pages' token streams, using Hirschberg's
-//! linear-space alignment ([`lcs`]) over interned token symbols
-//! ([`intern`]). [`induce`](fn@induce) derives the template and per-page slots;
-//! [`quality`] diagnoses degenerate templates (e.g. sites with numbered
-//! entries, where sequences like `1.` appear on every page and chop the
-//! table into fragments — the failure mode the paper reports for Amazon,
-//! BN Books and Minnesota Corrections) so that the pipeline can fall back to
-//! using the whole page.
+//! common subsequence (LCS) of the pages' token streams, using the exact
+//! histogram-LCS core ([`histogram`], with Hirschberg's linear-space
+//! alignment in [`lcs`] for mixed windows) over interned token symbols
+//! ([`tableseg_html::intern`]). [`induce`](fn@induce) derives the template
+//! and per-page slots; [`quality`] diagnoses degenerate templates (e.g.
+//! sites with numbered entries, where sequences like `1.` appear on every
+//! page and chop the table into fragments — the failure mode the paper
+//! reports for Amazon, BN Books and Minnesota Corrections) so that the
+//! pipeline can fall back to using the whole page.
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
 
 pub mod histogram;
 pub mod induce;
-pub mod intern;
 pub mod lcs;
 pub mod quality;
 pub mod slot;
 
 pub use histogram::{lcs_indices_histogram, lcs_indices_histogram_stats, LcsStats};
 pub use induce::{
-    candidate_streams, induce, induce_histogram, induce_interned, induce_with, induction_count,
-    restabilize, InduceOptions, InduceStats, Induction, Template,
+    candidate_streams, induce, induce_with, restabilize, InduceStats, Induction, Template,
 };
-pub use intern::{Interner, Symbol};
 pub use quality::{assess, TemplateQuality};
 pub use slot::{Slot, SlotSet};
+pub use tableseg_html::{Interner, Symbol};
