@@ -172,8 +172,11 @@ fn main() -> ExitCode {
         bench.prob.units_per_sec()
     );
     eprintln!(
-        "reduction: {} components, {} pruned vars, {} warm-start hits",
-        bench.reduction.components, bench.reduction.pruned_vars, bench.reduction.warm_start_hits
+        "reduction: {} components, {} pruned vars, {} warm-start hits, {} exhausted BnB passes",
+        bench.reduction.components,
+        bench.reduction.pruned_vars,
+        bench.reduction.warm_start_hits,
+        bench.reduction.bnb_exhausted
     );
     if let Some(p) = &component_profile {
         for (name, hist) in [("strict", &p.strict), ("relaxed", &p.relaxed)] {

@@ -101,6 +101,8 @@ pub struct ReductionStats {
     pub pruned_vars: u64,
     /// Warm-started solves whose winning try was a warm seed.
     pub warm_start_hits: u64,
+    /// Components whose exact pass ran out of its node budget.
+    pub bnb_exhausted: u64,
     /// Wall clock spent inside the reduction passes.
     pub reduce_ns: u64,
 }
@@ -198,6 +200,7 @@ pub fn run_solve_bench(iters: usize) -> SolveBench {
         reduction.components += reduced.components as u64;
         reduction.pruned_vars += reduced.pruned_vars as u64;
         reduction.warm_start_hits += reduced.warm_start_hits;
+        reduction.bnb_exhausted += reduced.bnb_exhausted as u64;
         reduction.reduce_ns += reduced.reduce_ns;
     }
 
@@ -359,10 +362,11 @@ pub fn render_json(
             "reduction",
             format!(
                 "{{ \"components\": {}, \"pruned_vars\": {}, \"warm_start_hits\": {}, \
-                 \"reduce_ns\": {} }}",
+                 \"bnb_exhausted\": {}, \"reduce_ns\": {} }}",
                 bench.reduction.components,
                 bench.reduction.pruned_vars,
                 bench.reduction.warm_start_hits,
+                bench.reduction.bnb_exhausted,
                 bench.reduction.reduce_ns
             ),
         )
@@ -422,6 +426,7 @@ mod tests {
                 components: 7,
                 pruned_vars: 321,
                 warm_start_hits: 5,
+                bnb_exhausted: 2,
                 reduce_ns: 1234,
             },
             iters: 2,
@@ -450,6 +455,7 @@ mod tests {
         assert!(json.contains("\"components\": 7"));
         assert!(json.contains("\"pruned_vars\": 321"));
         assert!(json.contains("\"warm_start_hits\": 5"));
+        assert!(json.contains("\"bnb_exhausted\": 2"));
         assert!(json.contains("\"solve.csp\": 42"));
         assert!(!json.contains("component_profile"));
         assert!(json.starts_with('{') && json.ends_with("}\n"));

@@ -110,6 +110,7 @@ impl Segmenter for CspSegmenter {
         metrics.bump(Counter::SolveComponents, out.components as u64);
         metrics.bump(Counter::SolvePrunedVars, out.pruned_vars as u64);
         metrics.bump(Counter::SolveWarmStartHits, out.warm_start_hits);
+        metrics.bump(Counter::SolveBnbExhausted, out.bnb_exhausted as u64);
         metrics.observe(Hist::WsatFlipsPerSolve, out.flips);
         let relaxed = out.status != CspStatus::Solved;
         if relaxed {

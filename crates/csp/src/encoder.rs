@@ -43,7 +43,7 @@ impl Default for EncodeOptions {
 
 /// A pseudo-boolean encoding of a segmentation problem, with the mapping
 /// between model variables and `(extract, record)` pairs.
-#[derive(Debug, Clone)]
+#[derive(Debug, Clone, PartialEq, Eq)]
 pub struct Encoding {
     /// The model to solve.
     pub model: Model,
@@ -70,6 +70,20 @@ impl Encoding {
         }
         let extracts: HashSet<usize> = self.vars.iter().map(|&(i, _)| i).collect();
         Some(extracts.len() as i64)
+    }
+
+    /// Turns a strict encoding into the relaxed one in place: every
+    /// equality becomes `≤` and the objective maximizes the number of
+    /// assigned extracts. The variables, labels and constraint order stay
+    /// as they are, so the result equals what [`encode`] builds with
+    /// `relaxed: true` — without matching the observation table again.
+    pub fn relax(&mut self) {
+        for c in &mut self.model.constraints {
+            if c.rel == Relation::Eq {
+                c.rel = Relation::Le;
+            }
+        }
+        self.model.maximize_sum(0..self.vars.len());
     }
 }
 
@@ -244,6 +258,29 @@ pub(crate) mod tests {
         );
         assert!(enc.model.constraints.iter().all(|c| c.rel == Relation::Le));
         assert_eq!(enc.model.objective.len(), enc.vars.len());
+    }
+
+    #[test]
+    fn relaxing_in_place_equals_the_relaxed_encoding() {
+        let obs = superpages_obs();
+        for position_constraints in [true, false] {
+            let mut enc = encode(
+                &obs,
+                &EncodeOptions {
+                    relaxed: false,
+                    position_constraints,
+                },
+            );
+            enc.relax();
+            let relaxed = encode(
+                &obs,
+                &EncodeOptions {
+                    relaxed: true,
+                    position_constraints,
+                },
+            );
+            assert_eq!(enc, relaxed);
+        }
     }
 
     #[test]

@@ -4,11 +4,20 @@
 //!
 //! * [`solve_bnb`] — a depth-first branch-and-bound over any
 //!   [`Model`], with constraint-bound pruning and an optimistic objective
-//!   bound. It is used as an *oracle*: it can prove a hard encoding
-//!   infeasible (which drives the relaxation ladder) and cross-checks the
-//!   stochastic solver in tests. Worst-case exponential, so it takes a node
-//!   budget; segmentation encodings are small enough (tens of variables)
-//!   that the budget is rarely reached.
+//!   bound. It proves hard encodings infeasible (which drives the
+//!   relaxation ladder), gives the relaxed rung's stochastic search its
+//!   objective target, and cross-checks WSAT in tests. Worst-case
+//!   exponential, so it takes a node budget; a search that runs out of
+//!   budget says so ([`BnbOutcome::Incumbent`] / [`BnbOutcome::Unknown`])
+//!   rather than passing its best-so-far off as proven. The objective
+//!   bound is a clique cover: each variable belongs to at most one
+//!   at-most-one row (`Σ x ≤ 1` or `Σ x = 1` over unit coefficients —
+//!   the encoder's uniqueness rows, which come first), and a clique with
+//!   no true member yet can still add only its best coefficient, not the
+//!   sum of them. On the relaxed segmentation encodings that is the
+//!   number of still-open extracts instead of the number of open
+//!   variables, which is what lets most components finish well inside
+//!   the relaxed rung's budget.
 //!
 //! * [`solve_ordered`] — a polynomial dynamic program specialized to the
 //!   segmentation structure. It relies on the paper's horizontal-layout
@@ -19,13 +28,22 @@
 //!   occurrence (`R_i ∈ D_i`), uniqueness and consecutiveness; a full
 //!   assignment exists iff the maximum equals the number of extracts.
 
-use crate::model::{Model, Relation};
+use crate::model::{Constraint, Model, Relation};
 
 /// Result of branch-and-bound.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub enum BnbOutcome {
-    /// An optimal feasible assignment (maximal objective).
+    /// The search finished: a feasible assignment of maximal objective —
+    /// the first such leaf in depth-first order.
     Optimal {
+        /// The assignment.
+        assignment: Vec<bool>,
+        /// Its objective value.
+        objective: i64,
+    },
+    /// The node budget ran out after a feasible assignment was found:
+    /// the best one so far, *not* proven optimal.
+    Incumbent {
         /// The assignment.
         assignment: Vec<bool>,
         /// Its objective value.
@@ -33,190 +51,318 @@ pub enum BnbOutcome {
     },
     /// The model was proven infeasible.
     Infeasible,
-    /// The node budget was exhausted before a conclusion.
+    /// The node budget was exhausted before any feasible assignment was
+    /// found.
     Unknown,
+}
+
+impl BnbOutcome {
+    /// `true` when the search ran out of its node budget
+    /// ([`BnbOutcome::Incumbent`] or [`BnbOutcome::Unknown`]).
+    pub fn exhausted(&self) -> bool {
+        matches!(self, BnbOutcome::Incumbent { .. } | BnbOutcome::Unknown)
+    }
+}
+
+/// Sentinel in `clique_of`: the variable is in no at-most-one row.
+const NO_CLIQUE: u32 = u32::MAX;
+
+/// Per-constraint search state: the range `[lo, hi]` the left-hand side
+/// can still reach under the current partial assignment, and the range
+/// `[lb, ub]` its relation admits.
+#[derive(Debug, Clone, Copy)]
+struct Row {
+    lo: i32,
+    hi: i32,
+    lb: i32,
+    ub: i32,
+}
+
+impl Row {
+    /// No completion can satisfy the constraint any more.
+    #[inline]
+    fn bad(self) -> bool {
+        self.lo > self.ub || self.hi < self.lb
+    }
+}
+
+/// One occurrence of a variable in a constraint (CSR payload).
+#[derive(Debug, Clone, Copy)]
+struct Occ {
+    row: u32,
+    coef: i32,
+}
+
+/// Incremental state of one at-most-one row of the clique cover.
+#[derive(Debug, Clone, Copy, Default)]
+struct Clique {
+    /// Members assigned true.
+    trues: u32,
+    /// Members not yet assigned.
+    open: u32,
+    /// Largest positive objective coefficient among the members.
+    best: i64,
+}
+
+impl Clique {
+    /// What the clique's unassigned members can still add to the
+    /// objective: one member at most, and none once a member is true.
+    #[inline]
+    fn mass(self) -> i64 {
+        if self.trues == 0 && self.open > 0 {
+            self.best
+        } else {
+            0
+        }
+    }
+}
+
+/// `true` for `Σ x ≤ 1` / `Σ x = 1` over unit coefficients: at most one
+/// of its variables can be true in any feasible assignment.
+fn at_most_one(c: &Constraint) -> bool {
+    matches!(c.rel, Relation::Le | Relation::Eq)
+        && c.rhs == 1
+        && c.terms.iter().all(|t| t.coef == 1)
+}
+
+struct Search<'a> {
+    model: &'a Model,
+    rows: Vec<Row>,
+    /// CSR occurrence lists: variable `v`'s occurrences are
+    /// `occ[occ_start[v]..occ_start[v + 1]]`.
+    occ_start: Vec<usize>,
+    occ: Vec<Occ>,
+    obj_coef: Vec<i64>,
+    /// `pos_suffix[d]` = Σ over vars `v ≥ d` of `max(obj_coef[v], 0)`.
+    pos_suffix: Vec<i64>,
+    /// `free_suffix[d]`: the same sum over vars `v ≥ d` in no clique.
+    free_suffix: Vec<i64>,
+    clique_of: Vec<u32>,
+    cliques: Vec<Clique>,
+    /// Σ [`Clique::mass`] over all cliques.
+    clique_mass: i64,
+    /// Objective contribution of the variables assigned so far.
+    fixed_obj: i64,
+    assign: Vec<bool>,
+    best: Option<(Vec<bool>, i64)>,
+    nodes: u64,
+    budget: u64,
+    exhausted: bool,
+}
+
+impl Search<'_> {
+    fn new(model: &Model, budget: u64) -> Search<'_> {
+        let n = model.num_vars;
+        let rows = model
+            .constraints
+            .iter()
+            .map(|c| {
+                let (mut lo, mut hi) = (0, 0);
+                for t in &c.terms {
+                    if t.coef > 0 {
+                        hi += t.coef;
+                    } else {
+                        lo += t.coef;
+                    }
+                }
+                let (lb, ub) = match c.rel {
+                    Relation::Le => (i32::MIN, c.rhs),
+                    Relation::Ge => (c.rhs, i32::MAX),
+                    Relation::Eq => (c.rhs, c.rhs),
+                };
+                Row { lo, hi, lb, ub }
+            })
+            .collect();
+        let mut occ_start = vec![0usize; n + 1];
+        for t in model.constraints.iter().flat_map(|c| &c.terms) {
+            occ_start[t.var + 1] += 1;
+        }
+        for v in 0..n {
+            occ_start[v + 1] += occ_start[v];
+        }
+        let mut fill = occ_start.clone();
+        let mut occ = vec![Occ { row: 0, coef: 0 }; occ_start[n]];
+        for (ci, c) in model.constraints.iter().enumerate() {
+            for t in &c.terms {
+                occ[fill[t.var]] = Occ {
+                    row: ci as u32,
+                    coef: t.coef,
+                };
+                fill[t.var] += 1;
+            }
+        }
+        let mut obj_coef = vec![0i64; n];
+        for t in &model.objective {
+            obj_coef[t.var] += i64::from(t.coef);
+        }
+        // Clique cover: each variable joins the first at-most-one row
+        // that contains it.
+        let mut clique_of = vec![NO_CLIQUE; n];
+        let mut cliques: Vec<Clique> = Vec::new();
+        for c in model.constraints.iter().filter(|c| at_most_one(c)) {
+            let id = cliques.len() as u32;
+            let mut clique = Clique::default();
+            for t in &c.terms {
+                if clique_of[t.var] == NO_CLIQUE {
+                    clique_of[t.var] = id;
+                    clique.open += 1;
+                    clique.best = clique.best.max(obj_coef[t.var]);
+                }
+            }
+            if clique.open > 0 {
+                cliques.push(clique);
+            }
+        }
+        let clique_mass = cliques.iter().map(|c| c.mass()).sum();
+        let mut pos_suffix = vec![0i64; n + 1];
+        let mut free_suffix = vec![0i64; n + 1];
+        for v in (0..n).rev() {
+            let gain = obj_coef[v].max(0);
+            pos_suffix[v] = pos_suffix[v + 1] + gain;
+            free_suffix[v] = free_suffix[v + 1];
+            if clique_of[v] == NO_CLIQUE {
+                free_suffix[v] += gain;
+            }
+        }
+        Search {
+            model,
+            rows,
+            occ_start,
+            occ,
+            obj_coef,
+            pos_suffix,
+            free_suffix,
+            clique_of,
+            cliques,
+            clique_mass,
+            fixed_obj: 0,
+            assign: vec![false; n],
+            best: None,
+            nodes: 0,
+            budget,
+            exhausted: false,
+        }
+    }
+
+    /// Full bound check; used once at the root. Deeper nodes only check
+    /// the constraints touched by the variable just assigned.
+    fn pruned_full(&self) -> bool {
+        self.rows.iter().any(|r| r.bad())
+    }
+
+    /// Incremental bound check: only the constraints of `var`. A separate
+    /// pass after all of `var`'s updates, since `var` may occur twice in
+    /// one constraint.
+    #[inline]
+    fn pruned_after(&self, var: usize) -> bool {
+        self.occ[self.occ_start[var]..self.occ_start[var + 1]]
+            .iter()
+            .any(|o| self.rows[o.row as usize].bad())
+    }
+
+    /// Upper bound on the objective of any completion: the fixed part
+    /// plus the smaller of two bounds on the unassigned rest — its whole
+    /// positive mass, and the clique cover's.
+    #[inline]
+    fn optimistic_objective(&self, depth: usize) -> i64 {
+        self.fixed_obj + self.pos_suffix[depth].min(self.clique_mass + self.free_suffix[depth])
+    }
+
+    fn recurse(&mut self, depth: usize) {
+        self.nodes += 1;
+        if self.nodes > self.budget {
+            self.exhausted = true;
+            return;
+        }
+        if let Some((_, best_obj)) = &self.best {
+            if self.optimistic_objective(depth) <= *best_obj {
+                return;
+            }
+        }
+        if depth == self.assign.len() {
+            debug_assert!(self.model.feasible(&self.assign));
+            let obj = self.fixed_obj;
+            let improves = self
+                .best
+                .as_ref()
+                .is_none_or(|(_, best_obj)| obj > *best_obj);
+            if improves {
+                self.best = Some((self.assign.clone(), obj));
+            }
+            return;
+        }
+        // Branch: try value order that favors the objective.
+        let first = self.obj_coef[depth] >= 0;
+        for value in [first, !first] {
+            self.set(depth, value);
+            if !self.pruned_after(depth) {
+                self.recurse(depth + 1);
+            }
+            self.unset(depth, value);
+            if self.exhausted {
+                return;
+            }
+        }
+    }
+
+    /// Assigns `var := value` (`sign = 1`) or undoes it (`sign = -1`).
+    #[inline]
+    fn apply(&mut self, var: usize, value: bool, sign: i32) {
+        for o in &self.occ[self.occ_start[var]..self.occ_start[var + 1]] {
+            let row = &mut self.rows[o.row as usize];
+            let delta = sign * o.coef;
+            // True moves the low end up by a positive coefficient and the
+            // high end down by a negative one; false removes the term's
+            // slack from the other end.
+            match (value, o.coef > 0) {
+                (true, true) => row.lo += delta,
+                (true, false) => row.hi += delta,
+                (false, true) => row.hi -= delta,
+                (false, false) => row.lo -= delta,
+            }
+        }
+        if value {
+            self.fixed_obj += i64::from(sign) * self.obj_coef[var];
+        }
+        let c = self.clique_of[var];
+        if c != NO_CLIQUE {
+            let clique = &mut self.cliques[c as usize];
+            let before = clique.mass();
+            if sign > 0 {
+                clique.open -= 1;
+                clique.trues += u32::from(value);
+            } else {
+                clique.open += 1;
+                clique.trues -= u32::from(value);
+            }
+            self.clique_mass += clique.mass() - before;
+        }
+    }
+
+    fn set(&mut self, var: usize, value: bool) {
+        self.assign[var] = value;
+        self.apply(var, value, 1);
+    }
+
+    fn unset(&mut self, var: usize, value: bool) {
+        self.apply(var, value, -1);
+        self.assign[var] = false;
+    }
 }
 
 /// Branch-and-bound over a pseudo-boolean model, exploring at most
 /// `node_budget` nodes.
 pub fn solve_bnb(model: &Model, node_budget: u64) -> BnbOutcome {
-    let n = model.num_vars;
-    // Per-constraint state: current lhs of assigned vars, and the min/max
-    // contribution still possible from unassigned vars.
-    let mut lhs = vec![0i32; model.constraints.len()];
-    let mut min_rest = vec![0i32; model.constraints.len()];
-    let mut max_rest = vec![0i32; model.constraints.len()];
-    for (ci, c) in model.constraints.iter().enumerate() {
-        for t in &c.terms {
-            if t.coef > 0 {
-                max_rest[ci] += t.coef;
-            } else {
-                min_rest[ci] += t.coef;
-            }
-        }
-    }
-    let mut obj_coef = vec![0i64; n];
-    for t in &model.objective {
-        obj_coef[t.var] += i64::from(t.coef);
-    }
-    // Occurrence lists.
-    let mut occurs: Vec<Vec<(usize, i32)>> = vec![Vec::new(); n];
-    for (ci, c) in model.constraints.iter().enumerate() {
-        for t in &c.terms {
-            occurs[t.var].push((ci, t.coef));
-        }
-    }
-
-    struct Search<'a> {
-        model: &'a Model,
-        occurs: &'a [Vec<(usize, i32)>],
-        obj_coef: &'a [i64],
-        /// `pos_suffix[d]` = Σ over vars `v ≥ d` of `max(obj_coef[v], 0)`.
-        pos_suffix: Vec<i64>,
-        /// Objective contribution of the variables assigned so far.
-        fixed_obj: i64,
-        lhs: Vec<i32>,
-        min_rest: Vec<i32>,
-        max_rest: Vec<i32>,
-        assign: Vec<bool>,
-        best: Option<(Vec<bool>, i64)>,
-        nodes: u64,
-        budget: u64,
-        exhausted: bool,
-    }
-
-    impl Search<'_> {
-        /// Can constraint `ci` still be satisfied under the current bounds?
-        #[inline]
-        fn constraint_bad(&self, ci: usize) -> bool {
-            let c = &self.model.constraints[ci];
-            let lo = self.lhs[ci] + self.min_rest[ci];
-            let hi = self.lhs[ci] + self.max_rest[ci];
-            match c.rel {
-                Relation::Le => lo > c.rhs,
-                Relation::Ge => hi < c.rhs,
-                Relation::Eq => lo > c.rhs || hi < c.rhs,
-            }
-        }
-
-        /// Full bound check; used once at the root. Deeper nodes only check
-        /// the constraints touched by the variable just assigned.
-        fn pruned_full(&self) -> bool {
-            (0..self.model.constraints.len()).any(|ci| self.constraint_bad(ci))
-        }
-
-        /// Incremental bound check: only the constraints of `var`.
-        fn pruned_after(&self, var: usize) -> bool {
-            self.occurs[var]
-                .iter()
-                .any(|&(ci, _)| self.constraint_bad(ci))
-        }
-
-        /// Upper bound on the objective: fixed part (maintained
-        /// incrementally in `fixed_obj`) plus the positive mass of the
-        /// unassigned suffix.
-        fn optimistic_objective(&self, depth: usize) -> i64 {
-            self.fixed_obj + self.pos_suffix[depth]
-        }
-
-        fn recurse(&mut self, depth: usize) {
-            self.nodes += 1;
-            if self.nodes > self.budget {
-                self.exhausted = true;
-                return;
-            }
-            if let Some((_, best_obj)) = &self.best {
-                if self.optimistic_objective(depth) <= *best_obj {
-                    return;
-                }
-            }
-            if depth == self.assign.len() {
-                debug_assert!(self.model.feasible(&self.assign));
-                let obj = self.fixed_obj;
-                let improves = self
-                    .best
-                    .as_ref()
-                    .is_none_or(|(_, best_obj)| obj > *best_obj);
-                if improves {
-                    self.best = Some((self.assign.clone(), obj));
-                }
-                return;
-            }
-            // Branch: try value order that favors the objective.
-            let first = self.obj_coef[depth] >= 0;
-            for value in [first, !first] {
-                self.set(depth, value);
-                if !self.pruned_after(depth) {
-                    self.recurse(depth + 1);
-                }
-                self.unset(depth, value);
-                if self.exhausted {
-                    return;
-                }
-            }
-        }
-
-        fn set(&mut self, var: usize, value: bool) {
-            self.assign[var] = value;
-            if value {
-                self.fixed_obj += self.obj_coef[var];
-            }
-            for &(ci, coef) in &self.occurs[var] {
-                if value {
-                    self.lhs[ci] += coef;
-                }
-                if coef > 0 {
-                    self.max_rest[ci] -= coef;
-                } else {
-                    self.min_rest[ci] -= coef;
-                }
-            }
-        }
-
-        fn unset(&mut self, var: usize, value: bool) {
-            if value {
-                self.fixed_obj -= self.obj_coef[var];
-            }
-            for &(ci, coef) in &self.occurs[var] {
-                if value {
-                    self.lhs[ci] -= coef;
-                }
-                if coef > 0 {
-                    self.max_rest[ci] += coef;
-                } else {
-                    self.min_rest[ci] += coef;
-                }
-            }
-            self.assign[var] = false;
-        }
-    }
-
-    let mut pos_suffix = vec![0i64; n + 1];
-    for v in (0..n).rev() {
-        pos_suffix[v] = pos_suffix[v + 1] + obj_coef[v].max(0);
-    }
-
-    let mut search = Search {
-        model,
-        occurs: &occurs,
-        obj_coef: &obj_coef,
-        pos_suffix,
-        fixed_obj: 0,
-        lhs: std::mem::take(&mut lhs),
-        min_rest: std::mem::take(&mut min_rest),
-        max_rest: std::mem::take(&mut max_rest),
-        assign: vec![false; n],
-        best: None,
-        nodes: 0,
-        budget: node_budget,
-        exhausted: false,
-    };
+    let mut search = Search::new(model, node_budget);
     if !search.pruned_full() {
         search.recurse(0);
     }
-
     match (search.best, search.exhausted) {
-        (Some((assignment, objective)), _) => BnbOutcome::Optimal {
+        (Some((assignment, objective)), false) => BnbOutcome::Optimal {
+            assignment,
+            objective,
+        },
+        (Some((assignment, objective)), true) => BnbOutcome::Incumbent {
             assignment,
             objective,
         },
@@ -395,6 +541,102 @@ mod tests {
         assert_eq!(solve_bnb(&m, 2), BnbOutcome::Unknown);
         // With enough budget it is proven infeasible.
         assert_eq!(solve_bnb(&m, 1_000), BnbOutcome::Infeasible);
+    }
+
+    /// `x0` shuts out both `x1` and `x2`, so the first leaf the search
+    /// reaches (`x0` alone) is worse than the optimum (`x1`, `x2`).
+    fn greedy_trap() -> Model {
+        let mut m = Model::new(3);
+        m.add(Constraint::sum([0, 1], Relation::Le, 1));
+        m.add(Constraint::sum([0, 2], Relation::Le, 1));
+        m.maximize_sum([0, 1, 2]);
+        m
+    }
+
+    #[test]
+    fn bnb_budget_exhaustion_with_a_solution_reports_incumbent() {
+        // Root, x0, x1, then the leaf: the fourth node finds the first
+        // solution, and the budget stops the search before it can
+        // improve on it — an incumbent, not an optimum.
+        assert_eq!(
+            solve_bnb(&greedy_trap(), 4),
+            BnbOutcome::Incumbent {
+                assignment: vec![true, false, false],
+                objective: 1,
+            }
+        );
+        assert!(solve_bnb(&greedy_trap(), 4).exhausted());
+    }
+
+    #[test]
+    fn bnb_finished_search_reports_optimal() {
+        let outcome = solve_bnb(&greedy_trap(), 1_000);
+        assert_eq!(
+            outcome,
+            BnbOutcome::Optimal {
+                assignment: vec![false, true, true],
+                objective: 2,
+            }
+        );
+        assert!(!outcome.exhausted());
+    }
+
+    #[test]
+    fn bnb_optimum_reached_before_exhaustion_is_still_incumbent() {
+        // Unconstrained: the first leaf (all true) is optimal, but one
+        // more node is needed to finish the search, and the budget
+        // forbids it. Unproven stays unproven.
+        let mut m = Model::new(3);
+        m.maximize_sum([0, 1, 2]);
+        let incumbent = BnbOutcome::Incumbent {
+            assignment: vec![true; 3],
+            objective: 3,
+        };
+        assert_eq!(solve_bnb(&m, 4), incumbent);
+        assert!(matches!(
+            solve_bnb(&m, 1_000),
+            BnbOutcome::Optimal { objective: 3, .. }
+        ));
+    }
+
+    #[test]
+    fn clique_cover_bound_closes_uniqueness_shaped_search() {
+        // Ten at-most-one rows of four variables, maximizing the number
+        // of true variables: the first leaf is already optimal (10), but
+        // a positive-mass bound still sees up to 40 and keeps searching.
+        // The clique cover sees one per open row and proves the optimum
+        // at once.
+        let mut m = Model::new(40);
+        for row in 0..10 {
+            m.add(Constraint::sum(row * 4..row * 4 + 4, Relation::Le, 1));
+        }
+        m.maximize_sum(0..40);
+        match solve_bnb(&m, 200) {
+            BnbOutcome::Optimal {
+                assignment,
+                objective,
+            } => {
+                assert_eq!(objective, 10);
+                assert!((0..40).all(|v| assignment[v] == (v % 4 == 0)));
+            }
+            other => panic!("{other:?}"),
+        }
+    }
+
+    #[test]
+    fn repeated_variable_in_one_constraint_is_counted_twice() {
+        // x0 + x0 + x1 ≤ 1 forbids x0 outright; the bound kernel must
+        // apply both occurrences before checking the row.
+        let mut m = Model::new(2);
+        m.add(Constraint::sum([0, 0, 1], Relation::Le, 1));
+        m.maximize_sum([0, 1]);
+        assert_eq!(
+            solve_bnb(&m, 1_000),
+            BnbOutcome::Optimal {
+                assignment: vec![false, true],
+                objective: 1,
+            }
+        );
     }
 
     // ---- ordered DP ----

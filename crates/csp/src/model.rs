@@ -92,7 +92,7 @@ pub fn violation_of(rel: Relation, lhs: i32, rhs: i32) -> i32 {
 
 /// A pseudo-boolean model: hard constraints plus an optional objective to
 /// maximize.
-#[derive(Debug, Clone, Default, Serialize, Deserialize)]
+#[derive(Debug, Clone, Default, PartialEq, Eq, Serialize, Deserialize)]
 pub struct Model {
     /// Number of 0-1 variables.
     pub num_vars: usize,

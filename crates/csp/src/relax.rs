@@ -15,12 +15,15 @@
 //!    parallel when [`WsatConfig::threads`] allows;
 //! 2. a component the stochastic search fails is cross-checked by the
 //!    exact branch-and-bound: if it finds a solution, use it; if it
-//!    *proves* infeasibility (or runs out of budget), fall through;
-//! 3. re-encode with relaxed `≤` constraints, reduce again, and solve each
-//!    component with the warm-started portfolio ([`solve_warm`]), seeded
-//!    from the strict rung's best assignment — the strict and relaxed
-//!    encodings share their variable layout, so the previous rung's
-//!    solution projects directly onto each component.
+//!    *proves* infeasibility (or runs out of budget without finding
+//!    one), fall through;
+//! 3. relax the strict encoding in place ([`Encoding::relax`]: every
+//!    equality becomes `≤`, maximize the assigned extracts), reduce it
+//!    again, and solve each component exact-first: a budgeted
+//!    branch-and-bound gives the warm-started portfolio ([`solve_warm`])
+//!    its objective target, and the portfolio is seeded from the strict
+//!    rung's best assignment — both rungs share one variable layout, so
+//!    that assignment projects directly onto each component.
 
 use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::mpsc;
@@ -29,7 +32,7 @@ use std::time::Instant;
 use serde::{Deserialize, Serialize};
 use tableseg_extract::{Observations, Segmentation};
 
-use crate::encoder::{encode, EncodeOptions};
+use crate::encoder::{encode, EncodeOptions, Encoding};
 use crate::exact::{solve_bnb, BnbOutcome};
 use crate::reduce::{reduce_model, Component};
 use crate::solution::decode;
@@ -107,6 +110,11 @@ pub struct CspOutcome {
     /// Wall-clock nanoseconds spent in [`reduce_model`] — the
     /// `solve.reduce` timing sub-stage.
     pub reduce_ns: u64,
+    /// Components whose branch-and-bound ran out of its node budget,
+    /// summed over the strict cross-check and the relaxed exact-first
+    /// pass. Their best assignment so far is still used, but it is not
+    /// a proven optimum.
+    pub bnb_exhausted: usize,
 }
 
 impl CspOutcome {
@@ -125,22 +133,39 @@ struct SolveStats {
     pruned_vars: usize,
     warm_start_hits: u64,
     reduce_ns: u64,
+    bnb_exhausted: usize,
+}
+
+impl SolveStats {
+    fn finish(
+        self,
+        segmentation: Segmentation,
+        status: CspStatus,
+        strict_violation: i64,
+    ) -> CspOutcome {
+        CspOutcome {
+            segmentation,
+            status,
+            strict_violation,
+            flips: self.flips,
+            tries: self.tries,
+            components: self.components,
+            pruned_vars: self.pruned_vars,
+            warm_start_hits: self.warm_start_hits,
+            reduce_ns: self.reduce_ns,
+            bnb_exhausted: self.bnb_exhausted,
+        }
+    }
 }
 
 /// Runs the CSP approach of Section 4 on an observation table.
 pub fn segment_csp(obs: &Observations, opts: &CspOptions) -> CspOutcome {
     if obs.items.is_empty() {
-        return CspOutcome {
-            segmentation: Segmentation::unassigned(obs.num_records, 0),
-            status: CspStatus::Solved,
-            strict_violation: 0,
-            flips: 0,
-            tries: 0,
-            components: 0,
-            pruned_vars: 0,
-            warm_start_hits: 0,
-            reduce_ns: 0,
-        };
+        return SolveStats::default().finish(
+            Segmentation::unassigned(obs.num_records, 0),
+            CspStatus::Solved,
+            0,
+        );
     }
     segment_reduced(obs, opts)
 }
@@ -149,11 +174,11 @@ pub fn segment_csp(obs: &Observations, opts: &CspOptions) -> CspOutcome {
 /// `threads != 1`), returning results in component order. `solve_one`
 /// must be a pure function of `(index, component)`, so scheduling never
 /// shows in the output.
-fn solve_components(
+fn solve_components<T: Send>(
     components: &[Component],
     threads: usize,
-    solve_one: impl Fn(usize, &Component) -> WsatResult + Sync,
-) -> Vec<WsatResult> {
+    solve_one: impl Fn(usize, &Component) -> T + Sync,
+) -> Vec<T> {
     let workers = match threads {
         0 => std::thread::available_parallelism().map_or(1, |n| n.get()),
         n => n,
@@ -167,7 +192,7 @@ fn solve_components(
             .collect();
     }
     let next = AtomicUsize::new(0);
-    let (tx, rx) = mpsc::channel::<(usize, WsatResult)>();
+    let (tx, rx) = mpsc::channel::<(usize, T)>();
     std::thread::scope(|scope| {
         for _ in 0..workers {
             let tx = tx.clone();
@@ -183,7 +208,7 @@ fn solve_components(
         }
     });
     drop(tx);
-    let mut slots: Vec<Option<WsatResult>> = components.iter().map(|_| None).collect();
+    let mut slots: Vec<Option<T>> = components.iter().map(|_| None).collect();
     for (i, r) in rx {
         slots[i] = Some(r);
     }
@@ -194,12 +219,13 @@ fn solve_components(
 }
 
 /// The reduced ladder: reduce → solve components → (BnB per failed
-/// component) → relax → reduce → warm-started components.
+/// component) → relax in place → reduce → exact-first warm-started
+/// components.
 fn segment_reduced(obs: &Observations, opts: &CspOptions) -> CspOutcome {
     let mut stats = SolveStats::default();
 
     // Rung 1: strict problem, reduced.
-    let strict_enc = encode(
+    let mut enc = encode(
         obs,
         &EncodeOptions {
             relaxed: false,
@@ -207,7 +233,7 @@ fn segment_reduced(obs: &Observations, opts: &CspOptions) -> CspOutcome {
         },
     );
     let t = Instant::now();
-    let red = reduce_model(&strict_enc.model);
+    let red = reduce_model(&enc.model);
     stats.reduce_ns += t.elapsed().as_nanos() as u64;
     stats.components += red.components.len();
     stats.pruned_vars += red.pruned_vars();
@@ -236,9 +262,14 @@ fn segment_reduced(obs: &Observations, opts: &CspOptions) -> CspOutcome {
             } else if comp.model.num_vars <= opts.bnb_var_cap {
                 // Exact cross-check, now per component: decomposition
                 // keeps these small enough for BnB far more often than
-                // the whole instance was.
-                match solve_bnb(&comp.model, opts.bnb_budget) {
-                    BnbOutcome::Optimal { assignment, .. } => parts.push(assignment),
+                // the whole instance was. The strict model has no
+                // objective, so any feasible leaf — proven optimal or
+                // not — solves the component.
+                let outcome = solve_bnb(&comp.model, opts.bnb_budget);
+                stats.bnb_exhausted += usize::from(outcome.exhausted());
+                match outcome {
+                    BnbOutcome::Optimal { assignment, .. }
+                    | BnbOutcome::Incumbent { assignment, .. } => parts.push(assignment),
                     BnbOutcome::Infeasible | BnbOutcome::Unknown => {
                         all_ok = false;
                         parts.push(r.assignment);
@@ -252,144 +283,130 @@ fn segment_reduced(obs: &Observations, opts: &CspOptions) -> CspOutcome {
         (red.stitch(&parts), all_ok)
     };
     if strict_solved {
-        debug_assert!(strict_enc.model.feasible(&strict_best));
-        return CspOutcome {
-            segmentation: decode(&strict_enc, &strict_best, obs),
-            status: CspStatus::Solved,
-            strict_violation: 0,
-            flips: stats.flips,
-            tries: stats.tries,
-            components: stats.components,
-            pruned_vars: stats.pruned_vars,
-            warm_start_hits: stats.warm_start_hits,
-            reduce_ns: stats.reduce_ns,
-        };
+        debug_assert!(enc.model.feasible(&strict_best));
+        return stats.finish(decode(&enc, &strict_best, obs), CspStatus::Solved, 0);
     }
-    let strict_violation = strict_enc.model.total_violation(&strict_best);
+    let strict_violation = enc.model.total_violation(&strict_best);
 
-    // Rung 2: relaxed optimization, reduced and warm-started.
-    let relaxed_enc = encode(
-        obs,
-        &EncodeOptions {
-            relaxed: true,
-            position_constraints: opts.position_constraints,
-        },
-    );
-    // Both encodings enumerate variables from the observation table's
-    // occurrence lists alone, so the strict rung's best assignment maps
-    // var-for-var onto the relaxed model — the warm seed below.
-    debug_assert_eq!(strict_enc.vars, relaxed_enc.vars);
+    // Rung 2: relaxed optimization, reduced and warm-started. The relaxed
+    // encoding differs from the strict one only in its relations and
+    // objective, so the variables — and with them the strict rung's best
+    // assignment, the warm seed below — carry over var-for-var.
+    enc.relax();
     let t = Instant::now();
-    let red = reduce_model(&relaxed_enc.model);
+    let red = reduce_model(&enc.model);
     stats.reduce_ns += t.elapsed().as_nanos() as u64;
     stats.components += red.components.len();
     stats.pruned_vars += red.pruned_vars();
     if red.infeasible {
-        return CspOutcome {
-            segmentation: Segmentation::unassigned(obs.num_records, obs.items.len()),
-            status: CspStatus::Failed,
+        return stats.finish(
+            Segmentation::unassigned(obs.num_records, obs.items.len()),
+            CspStatus::Failed,
             strict_violation,
-            flips: stats.flips,
-            tries: stats.tries,
-            components: stats.components,
-            pruned_vars: stats.pruned_vars,
-            warm_start_hits: stats.warm_start_hits,
-            reduce_ns: stats.reduce_ns,
-        };
+        );
     }
     let results = solve_components(&red.components, opts.wsat.threads, |_, comp| {
-        // Exact first: decomposition keeps most relaxed components down to
-        // a handful of variables, where branch-and-bound proves the true
-        // per-component optimum in microseconds. That optimum becomes the
-        // portfolio's objective target: the search used to chase the
-        // extract-count upper bound — often unreachable on dirty pages —
-        // and so burned its full stall budget per try; against a *proven*
-        // target the warm try exits the moment it matches the optimum.
-        // The node budget is deliberately small: a component whose search
-        // tree is not tiny falls back to the upper-bound target instead of
-        // paying for an exponential proof.
-        let exact = if comp.model.num_vars <= opts.bnb_var_cap {
-            match solve_bnb(&comp.model, opts.bnb_budget.min(BNB_FIRST_BUDGET)) {
-                BnbOutcome::Optimal {
-                    assignment,
-                    objective,
-                } => Some((assignment, objective)),
-                BnbOutcome::Infeasible | BnbOutcome::Unknown => None,
-            }
-        } else {
-            None
-        };
-        // Warm seed: the strict rung's best assignment restricted to this
-        // component. Objective target: the proven optimum where BnB
-        // finished, else the relaxation's per-component upper bound —
-        // each extract with a variable here can contribute at most one
-        // assignment (its uniqueness constraint lives in this component
-        // too).
-        let warm: Vec<Vec<bool>> = vec![comp.vars.iter().map(|&v| strict_best[v]).collect()];
-        let mut extracts: Vec<usize> = comp.vars.iter().map(|&v| relaxed_enc.vars[v].0).collect();
-        extracts.dedup();
-        let target = match &exact {
-            Some((_, objective)) => *objective,
-            None => extracts.len() as i64,
-        };
-        let cfg = WsatConfig {
-            threads: 1,
-            objective_target: Some(target),
-            ..opts.wsat
-        };
-        let result = solve_warm(&comp.model, &cfg, &warm);
-        // The stochastic pick wins ties (its seeds carry the strict rung's
-        // structure); the exact assignment steps in only when the
-        // portfolio provably fell short of the optimum.
-        match exact {
-            Some((assignment, objective)) if !result.feasible || result.objective < objective => {
-                WsatResult {
-                    feasible: true,
-                    violation: 0,
-                    objective,
-                    flips: result.flips,
-                    tries: result.tries,
-                    warm_start_hit: false,
-                    assignment,
-                }
-            }
-            _ => result,
-        }
+        solve_relaxed_component(comp, &enc, &strict_best, opts)
     });
     let mut feasible = true;
     let mut parts: Vec<Vec<bool>> = Vec::with_capacity(results.len());
-    for r in results {
+    for (r, exhausted) in results {
         stats.flips += r.flips;
         stats.tries += r.tries;
         stats.warm_start_hits += u64::from(r.warm_start_hit);
+        stats.bnb_exhausted += usize::from(exhausted);
         feasible &= r.feasible;
         parts.push(r.assignment);
     }
     if !feasible {
-        return CspOutcome {
-            segmentation: Segmentation::unassigned(obs.num_records, obs.items.len()),
-            status: CspStatus::Failed,
+        return stats.finish(
+            Segmentation::unassigned(obs.num_records, obs.items.len()),
+            CspStatus::Failed,
             strict_violation,
-            flips: stats.flips,
-            tries: stats.tries,
-            components: stats.components,
-            pruned_vars: stats.pruned_vars,
-            warm_start_hits: stats.warm_start_hits,
-            reduce_ns: stats.reduce_ns,
-        };
+        );
     }
     let stitched = red.stitch(&parts);
-    CspOutcome {
-        segmentation: decode(&relaxed_enc, &stitched, obs),
-        status: CspStatus::SolvedRelaxed,
+    stats.finish(
+        decode(&enc, &stitched, obs),
+        CspStatus::SolvedRelaxed,
         strict_violation,
-        flips: stats.flips,
-        tries: stats.tries,
-        components: stats.components,
-        pruned_vars: stats.pruned_vars,
-        warm_start_hits: stats.warm_start_hits,
-        reduce_ns: stats.reduce_ns,
-    }
+    )
+}
+
+/// Solves one component of the relaxed encoding `enc`: exact first, then
+/// the warm-started portfolio. Returns the result and whether the exact
+/// pass ran out of its node budget.
+fn solve_relaxed_component(
+    comp: &Component,
+    enc: &Encoding,
+    strict_best: &[bool],
+    opts: &CspOptions,
+) -> (WsatResult, bool) {
+    // Exact first: decomposition keeps most relaxed components down to a
+    // handful of variables, where branch-and-bound proves the true
+    // per-component optimum in microseconds. That value becomes the
+    // portfolio's objective target: the search used to chase the
+    // extract-count upper bound — often unreachable on dirty pages — and
+    // so burned its full stall budget per try; against an attained
+    // target the warm try exits the moment it matches it. The node budget
+    // is deliberately small: a search that runs out of it hands over its
+    // best incumbent, used exactly like a proven optimum (a reachable
+    // target, and a feasible fallback assignment).
+    let (exact, exhausted) = if comp.model.num_vars <= opts.bnb_var_cap {
+        let outcome = solve_bnb(&comp.model, opts.bnb_budget.min(BNB_FIRST_BUDGET));
+        let exhausted = outcome.exhausted();
+        match outcome {
+            BnbOutcome::Optimal {
+                assignment,
+                objective,
+            }
+            | BnbOutcome::Incumbent {
+                assignment,
+                objective,
+            } => (Some((assignment, objective)), exhausted),
+            BnbOutcome::Infeasible | BnbOutcome::Unknown => (None, exhausted),
+        }
+    } else {
+        (None, false)
+    };
+    // Warm seed: the strict rung's best assignment restricted to this
+    // component. Objective target: the exact pass's value where it found
+    // one, else the relaxation's per-component upper bound — each extract
+    // with a variable here can contribute at most one assignment (its
+    // uniqueness constraint lives in this component too).
+    let warm: Vec<Vec<bool>> = vec![comp.vars.iter().map(|&v| strict_best[v]).collect()];
+    let target = match &exact {
+        Some((_, objective)) => *objective,
+        None => {
+            let mut extracts: Vec<usize> = comp.vars.iter().map(|&v| enc.vars[v].0).collect();
+            extracts.dedup();
+            extracts.len() as i64
+        }
+    };
+    let cfg = WsatConfig {
+        threads: 1,
+        objective_target: Some(target),
+        ..opts.wsat
+    };
+    let result = solve_warm(&comp.model, &cfg, &warm);
+    // The stochastic pick wins ties (its seeds carry the strict rung's
+    // structure); the exact assignment steps in only when the portfolio
+    // fell short of it.
+    let result = match exact {
+        Some((assignment, objective)) if !result.feasible || result.objective < objective => {
+            WsatResult {
+                feasible: true,
+                violation: 0,
+                objective,
+                flips: result.flips,
+                tries: result.tries,
+                warm_start_hit: false,
+                assignment,
+            }
+        }
+        _ => result,
+    };
+    (result, exhausted)
 }
 
 #[cfg(test)]

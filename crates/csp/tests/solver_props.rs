@@ -5,8 +5,9 @@ use proptest::prelude::*;
 
 use tableseg_csp::exact::{solve_bnb, solve_ordered, BnbOutcome};
 use tableseg_csp::model::{Constraint, Model, Relation, Term};
-use tableseg_csp::reduce_model;
 use tableseg_csp::wsat::{solve, WsatConfig};
+use tableseg_csp::{encode, reduce_model, EncodeOptions};
+use tableseg_extract::{Extract, ObsItem, Observations, PagePos};
 
 /// A random small pseudo-boolean model.
 fn arb_model() -> impl Strategy<Value = Model> {
@@ -57,6 +58,41 @@ fn arb_weighted_model() -> impl Strategy<Value = Model> {
                 });
             }
             m
+        })
+    })
+}
+
+/// A random observation table: each extract's `D_i` is a set of records,
+/// observed at one of a few positions per page so that position groups
+/// (and with them the Section 4.2 constraints) form often.
+fn arb_observations() -> impl Strategy<Value = Observations> {
+    (1usize..5).prop_flat_map(|num_records| {
+        let item = proptest::collection::btree_set(0..num_records as u32, 1..=num_records)
+            .prop_flat_map(|pages| {
+                let pages: Vec<u32> = pages.into_iter().collect();
+                let n = pages.len();
+                (Just(pages), proptest::collection::vec(0u32..3, n))
+            });
+        proptest::collection::vec(item, 0..10).prop_map(move |rows| Observations {
+            num_records,
+            items: rows
+                .into_iter()
+                .enumerate()
+                .map(|(index, (pages, pos))| {
+                    let positions = pages
+                        .iter()
+                        .zip(pos)
+                        .map(|(&page, pos)| PagePos { page, pos })
+                        .collect();
+                    let extract = Extract {
+                        index,
+                        tokens: Vec::new(),
+                        start: index,
+                    };
+                    ObsItem::new(extract, pages, positions)
+                })
+                .collect(),
+            skipped: Vec::new(),
         })
     })
 }
@@ -146,6 +182,20 @@ fn ordered_instance_model(cands: &[&[u32]]) -> (Model, Vec<(usize, u32)>) {
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(64))]
 
+    /// The relaxed rung relaxes the strict encoding in place; that must
+    /// build exactly the encoding `encode` builds with `relaxed: true` —
+    /// labels, objective, `vars` and `var_of` included.
+    #[test]
+    fn relaxing_in_place_equals_the_relaxed_encoding(
+        obs in arb_observations(),
+        position_constraints in proptest::bool::ANY,
+    ) {
+        let mut enc = encode(&obs, &EncodeOptions { relaxed: false, position_constraints });
+        enc.relax();
+        let relaxed = encode(&obs, &EncodeOptions { relaxed: true, position_constraints });
+        prop_assert_eq!(enc, relaxed);
+    }
+
     /// If B&B proves the model satisfiable, WSAT must find a feasible
     /// assignment too (these models are tiny); if B&B proves infeasibility,
     /// WSAT must never claim feasibility.
@@ -161,7 +211,7 @@ proptest! {
             BnbOutcome::Infeasible => {
                 prop_assert!(!stochastic.feasible, "WSAT claims feasible on infeasible model");
             }
-            BnbOutcome::Unknown => unreachable!("budget is ample for <=8 vars"),
+            BnbOutcome::Incumbent { .. } | BnbOutcome::Unknown => unreachable!("budget is ample for <=8 vars"),
         }
     }
 
@@ -254,7 +304,7 @@ proptest! {
             BnbOutcome::Infeasible => {
                 prop_assert!(!stochastic.feasible, "WSAT claims feasible on infeasible model");
             }
-            BnbOutcome::Unknown => unreachable!("budget is ample for <=7 vars"),
+            BnbOutcome::Incumbent { .. } | BnbOutcome::Unknown => unreachable!("budget is ample for <=7 vars"),
         }
     }
 
@@ -384,7 +434,7 @@ proptest! {
                     any_infeasible = true;
                     break;
                 }
-                BnbOutcome::Unknown => unreachable!("budget is ample for <=7 vars"),
+                BnbOutcome::Incumbent { .. } | BnbOutcome::Unknown => unreachable!("budget is ample for <=7 vars"),
             }
         }
         match whole {
@@ -397,7 +447,7 @@ proptest! {
             BnbOutcome::Infeasible => {
                 prop_assert!(any_infeasible, "every component solvable on an infeasible model");
             }
-            BnbOutcome::Unknown => unreachable!("budget is ample for <=7 vars"),
+            BnbOutcome::Incumbent { .. } | BnbOutcome::Unknown => unreachable!("budget is ample for <=7 vars"),
         }
     }
 

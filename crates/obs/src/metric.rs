@@ -94,6 +94,10 @@ pub enum Counter {
     /// Warm-started WSAT solves whose best try was a warm seed (the
     /// previous relaxation rung's assignment), not a cold restart.
     SolveWarmStartHits,
+    /// CSP components whose exact branch-and-bound pass ran out of its
+    /// node budget (strict cross-check or relaxed exact-first pass); the
+    /// search's best incumbent was used without an optimality proof.
+    SolveBnbExhausted,
     /// Pages run through the table-region detection stage.
     DetectPages,
     /// Table regions reported by detection (one per pass-through page).
@@ -147,6 +151,7 @@ impl Counter {
         Counter::SolveComponents,
         Counter::SolvePrunedVars,
         Counter::SolveWarmStartHits,
+        Counter::SolveBnbExhausted,
         Counter::DetectPages,
         Counter::DetectRegions,
         Counter::DetectNonTable,
@@ -160,7 +165,7 @@ impl Counter {
     /// exhaustive match — adding a variant without updating both is a
     /// compile error here and a failure of
     /// `all_assigns_every_variant_its_index` below.
-    pub const COUNT: usize = 39;
+    pub const COUNT: usize = 40;
 
     /// The canonical `area.event` metric name.
     pub fn label(self) -> &'static str {
@@ -198,6 +203,7 @@ impl Counter {
             Counter::SolveComponents => "solve.components",
             Counter::SolvePrunedVars => "solve.pruned_vars",
             Counter::SolveWarmStartHits => "solve.warm_start_hits",
+            Counter::SolveBnbExhausted => "solve.bnb_exhausted",
             Counter::DetectPages => "detect.pages",
             Counter::DetectRegions => "detect.regions",
             Counter::DetectNonTable => "detect.non_table",
@@ -246,12 +252,13 @@ impl Counter {
             Counter::SolveComponents => 30,
             Counter::SolvePrunedVars => 31,
             Counter::SolveWarmStartHits => 32,
-            Counter::DetectPages => 33,
-            Counter::DetectRegions => 34,
-            Counter::DetectNonTable => 35,
-            Counter::DetectPassThrough => 36,
-            Counter::NestedParents => 37,
-            Counter::NestedSubRecords => 38,
+            Counter::SolveBnbExhausted => 33,
+            Counter::DetectPages => 34,
+            Counter::DetectRegions => 35,
+            Counter::DetectNonTable => 36,
+            Counter::DetectPassThrough => 37,
+            Counter::NestedParents => 38,
+            Counter::NestedSubRecords => 39,
         }
     }
 }

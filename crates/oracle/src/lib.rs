@@ -8,6 +8,7 @@
 //!
 //! * [`wsat`] — the pre-overhaul sequential WSAT(OIP) solver;
 //! * [`relax`] — the whole-instance CSP relaxation ladder (no reduction);
+//! * [`exact`] — the branch-and-bound without the clique-cover bound;
 //! * [`em`] — the log-space EM loop and the unmemoized per-edge scaled
 //!   EM loop, over the passes in [`forward_backward`] and [`viterbi`];
 //! * [`induce`] — the Hirschberg template-induction fold;
@@ -21,6 +22,7 @@
 #![warn(missing_docs)]
 
 pub mod em;
+pub mod exact;
 pub mod forward_backward;
 pub mod induce;
 pub mod matcher;

@@ -29,6 +29,7 @@ pub fn segment_whole(obs: &Observations, opts: &CspOptions, solver: Solver) -> C
             pruned_vars: 0,
             warm_start_hits: 0,
             reduce_ns: 0,
+            bnb_exhausted: 0,
         };
     }
 
@@ -52,6 +53,7 @@ pub fn segment_whole(obs: &Observations, opts: &CspOptions, solver: Solver) -> C
             pruned_vars: 0,
             warm_start_hits: 0,
             reduce_ns: 0,
+            bnb_exhausted: 0,
         };
     }
 
@@ -61,8 +63,9 @@ pub fn segment_whole(obs: &Observations, opts: &CspOptions, solver: Solver) -> C
     } else {
         BnbOutcome::Unknown
     };
+    let exhausted = strict_bnb.exhausted();
     match strict_bnb {
-        BnbOutcome::Optimal { assignment, .. } => {
+        BnbOutcome::Optimal { assignment, .. } | BnbOutcome::Incumbent { assignment, .. } => {
             return CspOutcome {
                 segmentation: decode(&strict_enc, &assignment, obs),
                 status: CspStatus::Solved,
@@ -73,6 +76,7 @@ pub fn segment_whole(obs: &Observations, opts: &CspOptions, solver: Solver) -> C
                 pruned_vars: 0,
                 warm_start_hits: 0,
                 reduce_ns: 0,
+                bnb_exhausted: usize::from(exhausted),
             };
         }
         BnbOutcome::Infeasible | BnbOutcome::Unknown => {}
@@ -112,6 +116,7 @@ pub fn segment_whole(obs: &Observations, opts: &CspOptions, solver: Solver) -> C
             pruned_vars: 0,
             warm_start_hits: 0,
             reduce_ns: 0,
+            bnb_exhausted: usize::from(exhausted),
         };
     }
     let best_assignment = relaxed.assignment;
@@ -126,6 +131,7 @@ pub fn segment_whole(obs: &Observations, opts: &CspOptions, solver: Solver) -> C
         pruned_vars: 0,
         warm_start_hits: 0,
         reduce_ns: 0,
+        bnb_exhausted: usize::from(exhausted),
     }
 }
 
